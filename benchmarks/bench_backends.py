@@ -14,14 +14,9 @@ import time
 
 import numpy as np
 
-from netsom import _core_py
+from netsom import _core_c, _core_py
 from netsom.core import TrainingSchedule, _schedule_arrays
 from netsom.grid import GridShape
-
-try:
-    from netsom import _core_cy
-except ImportError:
-    _core_cy = None
 
 
 def best_of(repeat, fn):
@@ -71,10 +66,11 @@ def main() -> int:
     args = parser.parse_args()
 
     results = [bench(_core_py, "python", args)]
-    if _core_cy is not None:
-        results.append(bench(_core_cy, "compiled", args))
+    library = _core_c.built_library()
+    if library is not None:
+        results.append(bench(_core_c.Kernel(library), "compiled", args))
     else:
-        print("note: compiled extension not built; benchmarking pure backend only")
+        print("note: compiled kernel not built; benchmarking pure backend only")
 
     print(
         f"\nmap {args.rows}x{args.cols}, dim {args.dim}, "

@@ -1,24 +1,19 @@
 from setuptools import Extension, setup
 
-# The compiled kernels are optional: if Cython (or a C compiler) is missing
-# the package installs pure-python and netsom._backend falls back at import.
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    ext_modules = []
-else:
-    ext_modules = cythonize(
-        [
-            Extension(
-                "netsom._core_cy",
-                ["src/netsom/_core_cy.pyx"],
-                # -ffp-contract=off: the kernels must round exactly like the
-                # pure backend; fused multiply-adds would change results.
-                extra_compile_args=["-O3", "-ffp-contract=off"],
-                optional=True,
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-
-setup(ext_modules=ext_modules)
+# The training kernel is plain C with no Python API, loaded through ctypes by
+# netsom._core_c, so building it needs only a C compiler. It is optional: if
+# the compiler is missing or fails, the package installs pure-python and
+# netsom._backend falls back to numpy at import.
+setup(
+    ext_modules=[
+        Extension(
+            "netsom._kernel",
+            ["src/netsom/_kernel.c"],
+            # -ffp-contract=off: the kernel must round exactly like the pure
+            # backend; fused multiply-adds would change results.
+            extra_compile_args=["-O3", "-ffp-contract=off"],
+            libraries=["m"],
+            optional=True,
+        )
+    ]
+)

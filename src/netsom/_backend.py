@@ -1,4 +1,4 @@
-"""Kernel backend selection: compiled extension with pure numpy fallback.
+"""Kernel backend selection: compiled C kernel with pure numpy fallback.
 
 Set ``NETSOM_BACKEND=python`` or ``NETSOM_BACKEND=compiled`` to force one.
 """
@@ -7,28 +7,20 @@ from __future__ import annotations
 
 import os
 
-from netsom import _core_py
-
-try:
-    from netsom import _core_cy
-except ImportError:
-    _core_cy = None
+from netsom import _core_c, _core_py
 
 _forced = os.environ.get("NETSOM_BACKEND", "").strip().lower()
-if _forced == "python":
-    _impl = _core_py
-elif _forced == "compiled":
-    if _core_cy is None:
-        raise ImportError(
-            "NETSOM_BACKEND=compiled but the netsom._core_cy extension is not built"
-        )
-    _impl = _core_cy
-elif _forced:
+if _forced not in ("", "python", "compiled"):
     raise ImportError(
         f"unknown NETSOM_BACKEND value {_forced!r}; use 'python' or 'compiled'"
     )
-else:
-    _impl = _core_cy if _core_cy is not None else _core_py
+_library = _core_c.built_library() if _forced != "python" else None
+if _forced == "compiled" and _library is None:
+    raise ImportError(
+        "NETSOM_BACKEND=compiled but the netsom._kernel library is not built "
+        "(run: python3 setup.py build_ext --inplace)"
+    )
+_impl = _core_c.Kernel(_library) if _library is not None else _core_py
 
 bmu_batch = _impl.bmu_batch
 run_steps = _impl.run_steps

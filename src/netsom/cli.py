@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,17 @@ from netsom.anomaly import (
     score_batch,
     verdicts_to_csv,
 )
-from netsom.core import GridShape, TrainingSchedule, initialize, train
+from netsom.core import (
+    ALPHA_END_DEFAULT,
+    ALPHA_MID_DEFAULT,
+    ALPHA_START_DEFAULT,
+    SIGMA_END_DEFAULT,
+    STEPS_PER_UNIT_DEFAULT,
+    GridShape,
+    TrainingSchedule,
+    initialize,
+    train,
+)
 from netsom.dataio import (
     NORMALIZATION_METHODS,
     NORMALIZER_FORMAT_VERSION,
@@ -85,24 +96,19 @@ def run_train(args) -> int:
     normalized = apply_normalizer(model, dataset)
 
     shape = GridShape(args.rows, args.cols)
-    total = args.total_steps if args.total_steps is not None else 500 * shape.node_count
-    schedule = TrainingSchedule(
-        total_steps=total,
-        sigma_start=(
-            args.sigma_start
-            if args.sigma_start is not None
-            else max(max(shape.rows, shape.cols) / 2.0, args.sigma_end)
-        ),
-        ordering_steps=(
-            args.ordering_steps if args.ordering_steps is not None else min(1000, total)
-        ),
+    schedule = TrainingSchedule.default_for(shape, args.total_steps, args.sigma_end)
+    overrides = {"sigma_start": args.sigma_start, "ordering_steps": args.ordering_steps}
+    schedule = replace(
+        schedule,
         alpha_start=args.alpha_start,
         alpha_mid=args.alpha_mid,
         alpha_end=args.alpha_end,
-        sigma_end=args.sigma_end,
+        **{name: value for name, value in overrides.items() if value is not None},
     )
     qe_every = (
-        args.qe_sample_every if args.qe_sample_every is not None else max(1, total // 10)
+        args.qe_sample_every
+        if args.qe_sample_every is not None
+        else max(1, schedule.total_steps // 10)
     )
 
     som = initialize(shape, normalized.dim, _bounds_of(normalized), init_seed)
@@ -256,14 +262,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--normalizer", default=None,
                          help="where to write the fitted normalizer (default: <out>.norm.json)")
     p_train.add_argument("--total-steps", type=int, default=None,
-                         help="default: 500 x map units")
+                         help=f"default: {STEPS_PER_UNIT_DEFAULT} x map units")
     p_train.add_argument("--ordering-steps", type=int, default=None)
-    p_train.add_argument("--alpha-start", type=float, default=0.9)
-    p_train.add_argument("--alpha-mid", type=float, default=0.2)
-    p_train.add_argument("--alpha-end", type=float, default=0.01)
+    p_train.add_argument("--alpha-start", type=float, default=ALPHA_START_DEFAULT)
+    p_train.add_argument("--alpha-mid", type=float, default=ALPHA_MID_DEFAULT)
+    p_train.add_argument("--alpha-end", type=float, default=ALPHA_END_DEFAULT)
     p_train.add_argument("--sigma-start", type=float, default=None,
                          help="default: max(rows, cols) / 2")
-    p_train.add_argument("--sigma-end", type=float, default=1.0)
+    p_train.add_argument("--sigma-end", type=float, default=SIGMA_END_DEFAULT)
     p_train.add_argument("--qe-sample-every", type=int, default=None,
                          help="default: total steps / 10")
     p_train.add_argument("--qe-threshold", type=float, default=None,

@@ -123,16 +123,22 @@ class TrainingSchedule:
             raise ValueError("widths must satisfy 0 < sigma_end <= sigma_start")
 
     @classmethod
-    def default_for(cls, shape: GridShape, total_steps: int | None = None) -> "TrainingSchedule":
+    def default_for(
+        cls,
+        shape: GridShape,
+        total_steps: int | None = None,
+        sigma_end: float = SIGMA_END_DEFAULT,
+    ) -> "TrainingSchedule":
         """Defaults for a shape: 500 steps per map unit, sigma from half the
-        longer side down to 1, ordering stage of 1000 steps (clamped)."""
+        longer side (but at least ``sigma_end``) down to ``sigma_end``,
+        ordering stage of 1000 steps (clamped)."""
         if total_steps is None:
             total_steps = STEPS_PER_UNIT_DEFAULT * shape.node_count
-        sigma_start = max(max(shape.rows, shape.cols) / 2.0, SIGMA_END_DEFAULT)
         return cls(
             total_steps=total_steps,
-            sigma_start=sigma_start,
+            sigma_start=max(max(shape.rows, shape.cols) / 2.0, sigma_end),
             ordering_steps=min(ORDERING_STEPS_DEFAULT, total_steps),
+            sigma_end=sigma_end,
         )
 
 

@@ -80,12 +80,23 @@ def load_map(path) -> SomMap:
 
 
 def write_atomic(path, payload: bytes) -> None:
-    """Write bytes via a temp file and rename, so readers never see partials."""
+    """Write bytes via a temp file and rename, so readers never see partials.
+
+    The temp file gets a random name in the target's directory, so concurrent
+    writers of one path never share it and the last rename wins. It is
+    synced to disk before the rename, so a crash cannot leave a renamed but
+    empty file. Like a plain write, it is created with mode 0o666 less the
+    umask (``tempfile.mkstemp`` would make it 0o600).
+    """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    fd = os.open(tmp, flags, 0o666)
     try:
-        tmp.write_bytes(payload)
+        with os.fdopen(fd, "wb") as f:
+            f.write(payload)
+            f.flush()
+            os.fsync(f.fileno())
         os.replace(tmp, path)
     finally:
-        if tmp.exists():
-            tmp.unlink(missing_ok=True)
+        tmp.unlink(missing_ok=True)

@@ -8,8 +8,16 @@ are checked against.
 from __future__ import annotations
 
 import math
+import shutil
+import subprocess
+from pathlib import Path
 
 import numpy as np
+import pytest
+
+from netsom import _core_c
+
+KERNEL_SOURCE = Path(__file__).resolve().parents[1] / "src" / "netsom" / "_kernel.c"
 
 # ---------------------------------------------------------------- datasets
 
@@ -31,6 +39,26 @@ def two_cluster_data(seed: int = 77, per_cluster: int = 200) -> np.ndarray:
 
 def bounds_of(data: np.ndarray) -> np.ndarray:
     return np.stack([data.min(axis=0), data.max(axis=0)], axis=1)
+
+
+# ---------------------------------------------------------------- fixtures
+
+
+@pytest.fixture(scope="session")
+def compiled(tmp_path_factory):
+    """The C kernel compiled from source into a temp directory and bound
+    through ctypes, so parity tests run whether or not the package's own
+    extension was built. Skips only when there is no C compiler."""
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler (cc) to build the kernel")
+    lib = tmp_path_factory.mktemp("kernel") / "_kernel.so"
+    subprocess.run(
+        [cc, "-O3", "-ffp-contract=off", "-shared", "-fPIC", str(KERNEL_SOURCE),
+         "-o", str(lib), "-lm"],
+        check=True,
+    )
+    return _core_c.Kernel(lib)
 
 
 # ----------------------------------------------------------------- oracles

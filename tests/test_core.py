@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -24,7 +27,7 @@ from netsom.core import (
     train,
 )
 from netsom.grid import GridPosition, GridShape
-from netsom.mapfile import MapFormatError, load_map, save_map
+from netsom.mapfile import MapFormatError, load_map, save_map, write_atomic
 
 
 def make_map(weights, rows, cols, seed=0):
@@ -434,3 +437,32 @@ class TestMapPersistence:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(MapFormatError, match="trailing"):
             load_map(path)
+
+    def test_concurrent_writers_leave_one_whole_payload(self, tmp_path):
+        path = tmp_path / "out.bin"
+        payloads = [bytes([i]) * 65536 for i in (1, 2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                barrier = threading.Barrier(len(payloads))
+                errors = []
+
+                def writer(payload):
+                    barrier.wait(timeout=10)
+                    try:
+                        write_atomic(path, payload)
+                    except OSError as exc:
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=writer, args=(p,)) for p in payloads]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+                assert errors == []
+                assert path.read_bytes() in payloads
+                assert os.listdir(tmp_path) == ["out.bin"]
+        finally:
+            sys.setswitchinterval(interval)
