@@ -20,15 +20,10 @@ def bmu_batch(weights: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarr
     Returns ``(indices, distances)``; ties break to the lowest node index.
     """
     n_inputs = xs.shape[0]
-    dim = weights.shape[1]
     idx = np.empty(n_inputs, dtype=np.int64)
     dist = np.empty(n_inputs, dtype=np.float64)
     for j in range(n_inputs):
-        diff = weights - xs[j]
-        sq = diff * diff
-        d2 = sq[:, 0].copy()
-        for k in range(1, dim):
-            d2 += sq[:, k]
+        d2 = _sq_norms(weights - xs[j])
         best = int(np.argmin(d2))  # argmin keeps the first minimum
         idx[j] = best
         dist[j] = math.sqrt(d2[best])
@@ -49,23 +44,50 @@ def run_steps(
     ``cutoff <= 0`` updates every node; otherwise nodes farther than
     ``cutoff * sigma`` lattice units from the winner are left untouched.
     """
-    n_nodes, dim = weights.shape
-    node_rows = (np.arange(n_nodes) // cols).astype(np.float64)
-    node_cols = (np.arange(n_nodes) % cols).astype(np.float64)
+    lattice = node_coords(weights.shape[0], cols)
     for t in range(stimuli.shape[0]):
-        x = xs[stimuli[t]]
-        diff = x - weights
-        sq = diff * diff
-        d2 = sq[:, 0].copy()
-        for k in range(1, dim):
-            d2 += sq[:, k]
-        c = int(np.argmin(d2))
-        dr = node_rows - node_rows[c]
-        dc = node_cols - node_cols[c]
-        lat2 = dr * dr + dc * dc
-        sigma = sigmas[t]
-        h = alphas[t] * np.exp(-lat2 / (2.0 * sigma * sigma))
-        if cutoff > 0.0:
-            lim = cutoff * sigma
-            h = np.where(lat2 <= lim * lim, h, 0.0)
-        weights += h[:, None] * diff
+        diff = xs[stimuli[t]] - weights
+        c = int(np.argmin(_sq_norms(diff)))
+        pull(weights, diff, c, alphas[t], sigmas[t], lattice, cutoff)
+
+
+def node_coords(n_nodes: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lattice row and column of every node, in row-major node order."""
+    nodes = np.arange(n_nodes)
+    return (nodes // cols).astype(np.float64), (nodes % cols).astype(np.float64)
+
+
+def pull(
+    weights: np.ndarray,
+    diff: np.ndarray,
+    c: int,
+    alpha: float,
+    sigma: float,
+    lattice: tuple[np.ndarray, np.ndarray],
+    cutoff: float = 0.0,
+) -> None:
+    """Gaussian neighbourhood pull toward an input ``x`` around winner ``c``,
+    in place: ``w_i += alpha * exp(-|r_c - r_i|^2 / (2 sigma^2)) * (x - w_i)``.
+
+    ``diff`` is ``x - weights`` before the pull, ``lattice`` is
+    :func:`node_coords` of the map and ``cutoff`` is as in :func:`run_steps`.
+    """
+    node_rows, node_cols = lattice
+    dr = node_rows - node_rows[c]
+    dc = node_cols - node_cols[c]
+    lat2 = dr * dr + dc * dc
+    h = alpha * np.exp(-lat2 / (2.0 * sigma * sigma))
+    if cutoff > 0.0:
+        lim = cutoff * sigma
+        h = np.where(lat2 <= lim * lim, h, 0.0)
+    weights += h[:, None] * diff
+
+
+def _sq_norms(diff: np.ndarray) -> np.ndarray:
+    """Squared length of each row of ``diff``, summed one dimension at a time
+    in the compiled kernel's order."""
+    sq = diff * diff
+    d2 = sq[:, 0].copy()
+    for k in range(1, diff.shape[1]):
+        d2 += sq[:, k]
+    return d2

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from netsom import _backend
 from netsom.core import SomMap, as_matrix, as_vector
 from netsom.dataio import Dataset
+from netsom.mapfile import write_atomic
 
 BASELINE_FORMAT_VERSION = 1
 VERDICT_CSV_HEADER = "index,bmu,residual,is_anomalous"
@@ -34,8 +34,8 @@ class AnomalyBaseline:
     calibration_size: int
 
     def __post_init__(self) -> None:
-        if self.threshold < 0.0:
-            raise ValueError("threshold must be nonnegative")
+        if not (math.isfinite(self.threshold) and self.threshold >= 0.0):
+            raise ValueError(f"threshold must be finite and nonnegative, got {self.threshold}")
         if not 0.0 < self.threshold_percentile <= 100.0:
             raise ValueError("threshold_percentile must lie in (0, 100]")
         if self.calibration_size < 1:
@@ -96,14 +96,7 @@ def calibrate(som: SomMap, normal_data, percentile: float) -> AnomalyBaseline:
 def score(baseline: AnomalyBaseline, x, input_index: int = 0) -> Verdict:
     """Score one input against the baseline."""
     v = as_vector(x, baseline.map.dim)
-    idx, dist = _backend.bmu_batch(baseline.map.weights, v.reshape(1, -1))
-    residual = float(dist[0])
-    return Verdict(
-        input_index=input_index,
-        bmu=int(idx[0]),
-        residual=residual,
-        is_anomalous=residual > baseline.threshold,
-    )
+    return replace(score_batch(baseline, v.reshape(1, -1))[0], input_index=input_index)
 
 
 def score_batch(baseline: AnomalyBaseline, data) -> list[Verdict]:
@@ -150,7 +143,8 @@ def evaluate(baseline: AnomalyBaseline, labeled: Dataset) -> EvalSummary:
 
 def verdicts_to_csv(verdicts, destination=None) -> str:
     """Render verdicts as CSV (header ``index,bmu,residual,is_anomalous``),
-    one row per input in input order. Writes to ``destination`` when given."""
+    one row per input in input order. Writes to ``destination`` when given,
+    atomically when it is a path."""
     out = io.StringIO()
     out.write(VERDICT_CSV_HEADER + "\n")
     for v in verdicts:
@@ -161,7 +155,7 @@ def verdicts_to_csv(verdicts, destination=None) -> str:
         if hasattr(destination, "write"):
             destination.write(payload)
         else:
-            Path(destination).write_text(payload, encoding="utf-8")
+            write_atomic(destination, payload.encode("utf-8"))
     return payload
 
 
@@ -181,9 +175,12 @@ def baseline_from_json_dict(payload: dict, som: SomMap) -> AnomalyBaseline:
         raise ValueError(
             f"unsupported baseline format version {version} (expected {BASELINE_FORMAT_VERSION})"
         )
-    return AnomalyBaseline(
-        map=som,
-        threshold=float(payload["threshold"]),
-        threshold_percentile=float(payload["percentile"]),
-        calibration_size=int(payload["calibration_size"]),
-    )
+    try:
+        return AnomalyBaseline(
+            map=som,
+            threshold=float(payload["threshold"]),
+            threshold_percentile=float(payload["percentile"]),
+            calibration_size=int(payload["calibration_size"]),
+        )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed baseline record: {exc!r}") from None

@@ -324,3 +324,7 @@ def _add_csv_flags(p) -> None:
     p.add_argument("--no-header", action="store_true", help="input CSVs have no header line")
     p.add_argument("--label-column", default=None,
                    help="name of a label column to strip from feature input")
+
+
+if __name__ == "__main__":
+    entry()

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from netsom import _backend
+from netsom import _backend, _core_py
 from netsom.grid import GridPosition, GridShape
 
 STEPS_PER_UNIT_DEFAULT = 500
@@ -209,15 +209,7 @@ def adapt(som: SomMap, x, c: int, alpha: float, sigma: float) -> SomMap:
         raise ValueError(f"winner index {c} out of range for {som.shape.node_count} nodes")
     _check_rates(alpha, sigma)
     w = som.weights.copy()
-    n = w.shape[0]
-    cols = som.shape.cols
-    node_rows = (np.arange(n) // cols).astype(np.float64)
-    node_cols = (np.arange(n) % cols).astype(np.float64)
-    dr = node_rows - node_rows[c]
-    dc = node_cols - node_cols[c]
-    lat2 = dr * dr + dc * dc
-    h = alpha * np.exp(-lat2 / (2.0 * sigma * sigma))
-    w += h[:, None] * (v - w)
+    _core_py.pull(w, v - w, c, alpha, sigma, _core_py.node_coords(w.shape[0], som.shape.cols))
     return replace(som, weights=w, steps_trained=som.steps_trained + 1)
 
 
@@ -225,15 +217,8 @@ def schedule_at(schedule: TrainingSchedule, t: int) -> tuple[float, float]:
     """Learning rate and neighborhood width at step ``t``."""
     if not 0 <= t < schedule.total_steps:
         raise ValueError(f"step {t} outside [0, {schedule.total_steps})")
-    if t < schedule.ordering_steps:
-        frac = t / schedule.ordering_steps
-        alpha = schedule.alpha_start + (schedule.alpha_mid - schedule.alpha_start) * frac
-        sigma = schedule.sigma_start + (schedule.sigma_end - schedule.sigma_start) * frac
-    else:
-        frac = (t - schedule.ordering_steps) / (schedule.total_steps - schedule.ordering_steps)
-        alpha = schedule.alpha_mid + (schedule.alpha_end - schedule.alpha_mid) * frac
-        sigma = schedule.sigma_end
-    return alpha, sigma
+    alpha, sigma = _schedule_values(schedule, np.array([t]))
+    return float(alpha[0]), float(sigma[0])
 
 
 def select_stimulus(training_set, rng: np.random.Generator) -> np.ndarray:
@@ -317,20 +302,31 @@ def train(
 
 
 def _schedule_arrays(schedule: TrainingSchedule) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized schedule_at over all steps; same arithmetic, same bits."""
-    total = schedule.total_steps
-    alphas = np.empty(total, dtype=np.float64)
-    sigmas = np.empty(total, dtype=np.float64)
-    o = schedule.ordering_steps
-    if o > 0:
-        frac = np.arange(o, dtype=np.float64) / o
-        alphas[:o] = schedule.alpha_start + (schedule.alpha_mid - schedule.alpha_start) * frac
-        sigmas[:o] = schedule.sigma_start + (schedule.sigma_end - schedule.sigma_start) * frac
-    tail = total - o
-    if tail > 0:
-        frac = np.arange(tail, dtype=np.float64) / tail
-        alphas[o:] = schedule.alpha_mid + (schedule.alpha_end - schedule.alpha_mid) * frac
-        sigmas[o:] = schedule.sigma_end
+    """Alpha and sigma at every step of the schedule."""
+    return _schedule_values(schedule, np.arange(schedule.total_steps))
+
+
+def _schedule_values(
+    schedule: TrainingSchedule, steps: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Alpha and sigma at each of ``steps``, all in [0, total_steps).
+
+    Each stage interpolates linearly from its first value to its last, so a
+    tail step's sigma is ``sigma_end + 0 * frac``, exactly ``sigma_end``.
+    """
+    s = schedule
+    ordering = steps < s.ordering_steps
+    stage_start = np.where(ordering, 0, s.ordering_steps)
+    stage_len = np.where(ordering, s.ordering_steps, s.total_steps - s.ordering_steps)
+    frac = (steps - stage_start) / stage_len
+
+    def lerp(first: float, mid: float, last: float) -> np.ndarray:
+        start = np.where(ordering, first, mid)
+        end = np.where(ordering, mid, last)
+        return start + (end - start) * frac
+
+    alphas = lerp(s.alpha_start, s.alpha_mid, s.alpha_end)
+    sigmas = lerp(s.sigma_start, s.sigma_end, s.sigma_end)
     return alphas, sigmas
 
 

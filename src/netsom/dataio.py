@@ -17,9 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
+from netsom.mapfile import write_atomic
+
 LABEL_NORMAL = "normal"
 LABEL_ANOMALOUS = "anomalous"
-NORMALIZATION_METHODS = ("minmax", "zscore", "none")
+# The per-dimension statistics each normalization method keeps.
+_STAT_KEYS = {"minmax": ("min", "max"), "zscore": ("mean", "stddev"), "none": ()}
+NORMALIZATION_METHODS = tuple(_STAT_KEYS)
 NORMALIZER_FORMAT_VERSION = 1
 
 
@@ -74,8 +78,9 @@ class NormalizationModel:
     """Fitted per-dimension scaling.
 
     ``stats`` holds {"min", "max"} for minmax, {"mean", "stddev"} (population
-    stddev) for zscore, and is empty for none. ``degenerate`` flags constant
-    columns, which both methods map to 0.
+    stddev) for zscore, and is empty for none, each statistic holding one
+    finite value per dimension. ``degenerate`` flags constant columns, which
+    both methods map to 0.
     """
 
     method: str
@@ -85,6 +90,17 @@ class NormalizationModel:
     def __post_init__(self) -> None:
         if self.method not in NORMALIZATION_METHODS:
             raise ValueError(f"unknown normalization method {self.method!r}")
+        keys = _STAT_KEYS[self.method]
+        if sorted(self.stats) != sorted(keys):
+            raise ValueError(
+                f"{self.method} statistics must be exactly {list(keys)}, got {list(self.stats)}"
+            )
+        if np.ndim(self.degenerate) != 1:
+            raise ValueError("degenerate must hold one flag per dimension")
+        for key in keys:
+            values = np.asarray(self.stats[key], dtype=np.float64)
+            if values.shape != (self.dim,) or not np.all(np.isfinite(values)):
+                raise ValueError(f"statistic {key!r} must hold {self.dim} finite values")
 
     @property
     def dim(self) -> int:
@@ -181,7 +197,8 @@ def save_csv(dataset: Dataset, destination, label_column: str = "label") -> None
     """Serialize a dataset back to CSV at full precision.
 
     Values are written with shortest round-trip float formatting, so
-    load -> save -> load preserves every value exactly.
+    load -> save -> load preserves every value exactly. A path destination
+    is written atomically.
     """
     out = io.StringIO()
     if dataset.column_names is not None:
@@ -198,7 +215,7 @@ def save_csv(dataset: Dataset, destination, label_column: str = "label") -> None
     if hasattr(destination, "write"):
         destination.write(payload)
     else:
-        Path(destination).write_text(payload, encoding="utf-8")
+        write_atomic(destination, payload.encode("utf-8"))
 
 
 def fit_normalizer(data: Dataset, method: str) -> NormalizationModel:
@@ -255,7 +272,7 @@ def split(data: Dataset, fractions, seed: int) -> tuple[Dataset, Dataset, Datase
     the remainder goes to train. Partitions are disjoint and cover the data.
     """
     f = [float(x) for x in fractions]
-    if len(f) != 3 or any(x < 0.0 for x in f):
+    if len(f) != 3 or not all(math.isfinite(x) and x >= 0.0 for x in f):
         raise ValueError("fractions must be three nonnegative numbers")
     if abs(sum(f) - 1.0) > 1e-9:
         raise ValueError(f"fractions must sum to 1, got {sum(f)}")
@@ -294,10 +311,17 @@ def normalizer_from_json_dict(payload: dict) -> NormalizationModel:
         raise ValueError(
             f"unsupported normalizer format version {version} (expected {NORMALIZER_FORMAT_VERSION})"
         )
+    try:
+        method, dim, degenerate = payload["method"], payload["dim"], payload["degenerate"]
+        stats = {k: np.asarray(v, dtype=np.float64) for k, v in payload["stats"].items()}
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed normalizer record: {exc!r}") from None
+    if not (isinstance(degenerate, list) and all(isinstance(b, bool) for b in degenerate)):
+        raise ValueError("normalizer degenerate flags must be a list of booleans")
+    if dim != len(degenerate):
+        raise ValueError(f"normalizer dim {dim} does not match {len(degenerate)} flags")
     return NormalizationModel(
-        method=payload["method"],
-        stats={k: np.asarray(v, dtype=np.float64) for k, v in payload["stats"].items()},
-        degenerate=np.asarray(payload["degenerate"], dtype=bool),
+        method=method, stats=stats, degenerate=np.asarray(degenerate, dtype=bool)
     )
 
 

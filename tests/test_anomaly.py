@@ -189,6 +189,21 @@ class TestBaselineJson:
         with pytest.raises(ValueError, match="format version"):
             baseline_from_json_dict({"format_version": 3, "threshold": 1.0}, som)
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -1.0])
+    def test_threshold_must_be_finite_and_nonnegative(self, threshold):
+        som = single_node_map()
+        payload = baseline_to_json_dict(AnomalyBaseline(som, 1.25, 97.5, 42))
+        payload["threshold"] = threshold
+        with pytest.raises(ValueError, match="threshold must be finite and nonnegative"):
+            baseline_from_json_dict(payload, som)
+
+    def test_missing_field_rejected(self):
+        som = single_node_map()
+        payload = baseline_to_json_dict(AnomalyBaseline(som, 1.25, 97.5, 42))
+        del payload["calibration_size"]
+        with pytest.raises(ValueError, match="malformed baseline record"):
+            baseline_from_json_dict(payload, som)
+
 
 class TestSyntheticDetection:
     def test_far_cluster_flagged_held_out_normal_quiet(self):

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import netsom
 from conftest import two_cluster_data
 from netsom.anomaly import AnomalyBaseline, baseline_to_json_dict
 from netsom.cli import main
@@ -259,6 +264,45 @@ class TestDetectCommand:
         assert rc == 0
         assert (tmp_path / "v1.csv").read_bytes() == (tmp_path / "v2.csv").read_bytes()
 
+    def test_non_finite_baseline_threshold_refused(self, tmp_path, normal_cluster, capsys):
+        out = tmp_path / "map.som"
+        main(quick_train_args(normal_cluster, out))
+        baseline_path = tmp_path / "baseline.json"
+        som = load_map(out)
+        payload = baseline_to_json_dict(AnomalyBaseline(som, 1.0, 99.0, 400))
+        payload["threshold"] = float("nan")
+        baseline_path.write_text(json.dumps(payload))  # json writes NaN, and reads it back
+        capsys.readouterr()
+        rc = main([
+            "detect", "--map", str(out), "--baseline", str(baseline_path),
+            "--input", normal_cluster, "--out", str(tmp_path / "v.csv"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: threshold must be finite")
+        assert not (tmp_path / "v.csv").exists()
+
+    def test_failed_verdict_write_keeps_old_file(
+        self, tmp_path, normal_cluster, capsys, monkeypatch
+    ):
+        out = tmp_path / "map.som"
+        main(quick_train_args(normal_cluster, out))
+        verdicts = tmp_path / "v.csv"
+        verdicts.write_bytes(b"old verdicts\n")
+        capsys.readouterr()
+
+        def failing_fsync(fd):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        rc = main([
+            "detect", "--map", str(out), "--calibration", normal_cluster,
+            "--input", normal_cluster, "--out", str(verdicts),
+        ])
+        assert rc == 1
+        assert "error: disk full" in capsys.readouterr().err
+        assert verdicts.read_bytes() == b"old verdicts\n"
+        assert not any(p.name.endswith(".tmp") for p in tmp_path.iterdir())
+
 
 class TestEvalCommand:
     def _fixture(self, tmp_path):
@@ -336,6 +380,18 @@ class TestVersionFlag:
         assert "map format 1" in out
         assert "normalizer format 1" in out
         assert "baseline format 1" in out
+
+    def test_module_run_prints_version(self):
+        src = Path(netsom.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])
+        )}
+        result = subprocess.run(
+            [sys.executable, "-m", "netsom.cli", "--version"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert result.returncode == 0
+        assert result.stdout.startswith(f"netsom {netsom.__version__} (map format 1")
 
 
 class TestEndToEndPipeline:

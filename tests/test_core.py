@@ -17,6 +17,7 @@ from conftest import (
 from netsom.core import (
     SomMap,
     TrainingSchedule,
+    _schedule_arrays,
     adapt,
     find_bmu,
     initialize,
@@ -242,6 +243,17 @@ class TestSchedule:
             for (a1, s1), (a2, s2) in zip(values, values[1:]):
                 assert a2 <= a1
                 assert s2 <= s1
+
+    @pytest.mark.parametrize("ordering", [0, 377, 997])
+    def test_arrays_match_schedule_at_bit_for_bit(self, ordering):
+        s = TrainingSchedule(
+            total_steps=997, ordering_steps=ordering, sigma_start=4.3, sigma_end=0.7,
+            alpha_start=0.83, alpha_mid=0.29, alpha_end=0.013,
+        )
+        alphas, sigmas = _schedule_arrays(s)
+        expected = np.array([schedule_at(s, t) for t in range(s.total_steps)])
+        assert alphas.tobytes() == expected[:, 0].tobytes()
+        assert sigmas.tobytes() == expected[:, 1].tobytes()
 
     def test_step_out_of_range(self):
         s = TrainingSchedule(total_steps=10, sigma_start=2.0, ordering_steps=5)

@@ -1,4 +1,5 @@
 import io
+import os
 
 import numpy as np
 import pytest
@@ -103,6 +104,19 @@ class TestSaveCsv:
         again = load_csv(buf.getvalue().encode(), label_column="label")
         assert np.array_equal(again.labels, [False, True])
 
+    def test_failed_write_keeps_existing_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "held.csv"
+        path.write_bytes(b"old\n")
+
+        def failing_fsync(fd):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(OSError, match="disk full"):
+            save_csv(Dataset(vectors=np.ones((2, 1))), path)
+        assert path.read_bytes() == b"old\n"
+        assert os.listdir(tmp_path) == ["held.csv"]
+
 
 class TestNormalizer:
     def test_minmax_example(self):
@@ -167,6 +181,33 @@ class TestNormalizer:
             for key, arr in model.stats.items():
                 assert np.array_equal(again.stats[key], arr)
 
+    @pytest.mark.parametrize(
+        "method, change, message",
+        [
+            ("minmax", {"stats": {"min": [0.0], "max": [1.0]}}, "must hold 2 finite values"),
+            ("minmax", {"stats": {"min": [0.0, 0.0], "max": [1.0, None]}}, "finite values"),
+            ("zscore", {"stats": {"mean": [0.0, float("inf")], "stddev": [1.0, 1.0]}},
+             "finite values"),
+            ("minmax", {"stats": {"min": [0.0, 0.0]}}, "must be exactly"),
+            ("none", {"stats": {"min": [0.0, 0.0]}}, "must be exactly"),
+            ("minmax", {"dim": 3}, "does not match"),
+            ("minmax", {"degenerate": [0, 1]}, "booleans"),
+            ("minmax", {"method": "robust"}, "unknown normalization method"),
+            ("minmax", {"stats": None}, "malformed"),
+        ],
+    )
+    def test_malformed_json_rejected(self, method, change, message):
+        model = fit_normalizer(Dataset(vectors=np.array([[0.0, 2.0], [1.0, 3.0]])), method)
+        payload = {**normalizer_to_json_dict(model), **change}
+        with pytest.raises(ValueError, match=message):
+            normalizer_from_json_dict(payload)
+
+    def test_missing_field_rejected(self):
+        payload = normalizer_to_json_dict(fit_normalizer(Dataset(vectors=np.ones((2, 2))), "none"))
+        del payload["degenerate"]
+        with pytest.raises(ValueError, match="malformed normalizer record"):
+            normalizer_from_json_dict(payload)
+
 
 class TestSplit:
     def _dataset(self, n=10):
@@ -209,3 +250,9 @@ class TestSplit:
             split(self._dataset(), (0.5, 0.2, 0.2), seed=1)
         with pytest.raises(ValueError):
             split(self._dataset(), (1.2, -0.1, -0.1), seed=1)
+        for bad in (float("nan"), float("inf")):
+            for position in range(3):
+                fractions = [0.8, 0.1, 0.1]
+                fractions[position] = bad
+                with pytest.raises(ValueError, match="three nonnegative numbers"):
+                    split(self._dataset(), fractions, seed=1)
