@@ -42,8 +42,7 @@ class Kernel:
         self._bmu.argtypes = [_PTR, _I64, _I64, _PTR, _I64, _PTR, _PTR]
         self._bmu.restype = None
         self._steps = lib.netsom_run_steps
-        self._steps.argtypes = [_PTR, _I64, _I64, _PTR, _PTR, _PTR, _PTR, _I64, _I64,
-                                ctypes.c_double]
+        self._steps.argtypes = [_PTR, _I64, _I64, _PTR, _PTR, _PTR, _PTR, _I64, _I64]
         self._steps.restype = None
 
     def bmu_batch(self, weights: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -66,13 +65,8 @@ class Kernel:
         alphas: np.ndarray,
         sigmas: np.ndarray,
         cols: int,
-        cutoff: float,
     ) -> None:
-        """Run one winner-search-and-update step per stimulus, in place.
-
-        ``cutoff <= 0`` updates every node; otherwise nodes farther than
-        ``cutoff * sigma`` lattice units from the winner are left untouched.
-        """
+        """Run one winner-search-and-update step per stimulus, in place."""
         n_nodes, dim, n_inputs = _search_shape(weights, xs)
         if not weights.flags.writeable:
             raise ValueError("weights must be writeable")
@@ -85,7 +79,7 @@ class Kernel:
         if cols < 1:
             raise ValueError(f"cols must be at least 1, got {cols}")
         self._steps(weights.ctypes.data, n_nodes, dim, xs.ctypes.data, stimuli.ctypes.data,
-                    alphas.ctypes.data, sigmas.ctypes.data, n_steps, cols, cutoff)
+                    alphas.ctypes.data, sigmas.ctypes.data, n_steps, cols)
 
 
 def _shape(a, dtype, ndim: int, name: str) -> tuple[int, ...]:

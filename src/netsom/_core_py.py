@@ -37,18 +37,13 @@ def run_steps(
     alphas: np.ndarray,
     sigmas: np.ndarray,
     cols: int,
-    cutoff: float,
 ) -> None:
-    """Run one winner-search-and-update step per stimulus, in place.
-
-    ``cutoff <= 0`` updates every node; otherwise nodes farther than
-    ``cutoff * sigma`` lattice units from the winner are left untouched.
-    """
+    """Run one winner-search-and-update step per stimulus, in place."""
     lattice = node_coords(weights.shape[0], cols)
     for t in range(stimuli.shape[0]):
         diff = xs[stimuli[t]] - weights
         c = int(np.argmin(_sq_norms(diff)))
-        pull(weights, diff, c, alphas[t], sigmas[t], lattice, cutoff)
+        pull(weights, diff, c, alphas[t], sigmas[t], lattice)
 
 
 def node_coords(n_nodes: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
@@ -64,22 +59,18 @@ def pull(
     alpha: float,
     sigma: float,
     lattice: tuple[np.ndarray, np.ndarray],
-    cutoff: float = 0.0,
 ) -> None:
     """Gaussian neighbourhood pull toward an input ``x`` around winner ``c``,
     in place: ``w_i += alpha * exp(-|r_c - r_i|^2 / (2 sigma^2)) * (x - w_i)``.
 
-    ``diff`` is ``x - weights`` before the pull, ``lattice`` is
-    :func:`node_coords` of the map and ``cutoff`` is as in :func:`run_steps`.
+    ``diff`` is ``x - weights`` before the pull and ``lattice`` is
+    :func:`node_coords` of the map.
     """
     node_rows, node_cols = lattice
     dr = node_rows - node_rows[c]
     dc = node_cols - node_cols[c]
     lat2 = dr * dr + dc * dc
     h = alpha * np.exp(-lat2 / (2.0 * sigma * sigma))
-    if cutoff > 0.0:
-        lim = cutoff * sigma
-        h = np.where(lat2 <= lim * lim, h, 0.0)
     weights += h[:, None] * diff
 
 

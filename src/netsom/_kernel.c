@@ -45,7 +45,7 @@ void netsom_bmu_batch(const double *weights, int64_t n_nodes, int64_t dim,
 void netsom_run_steps(double *weights, int64_t n_nodes, int64_t dim,
                       const double *xs, const int64_t *stimuli,
                       const double *alphas, const double *sigmas,
-                      int64_t n_steps, int64_t cols, double cutoff)
+                      int64_t n_steps, int64_t cols)
 {
     for (int64_t t = 0; t < n_steps; t++) {
         const double *x = xs + stimuli[t] * dim;
@@ -53,15 +53,12 @@ void netsom_run_steps(double *weights, int64_t n_nodes, int64_t dim,
         int64_t c = nearest(weights, n_nodes, dim, x, &d2);
         double alpha = alphas[t];
         double sigma = sigmas[t];
-        double lim = cutoff * sigma;
         int64_t c_row = c / cols;
         int64_t c_col = c % cols;
         for (int64_t i = 0; i < n_nodes; i++) {
             double dr = (double)(i / cols - c_row);
             double dc = (double)(i % cols - c_col);
             double lat2 = dr * dr + dc * dc;
-            if (cutoff > 0.0 && lat2 > lim * lim)
-                continue;
             double h = alpha * exp(-lat2 / (2.0 * sigma * sigma));
             double *w = weights + i * dim;
             for (int64_t k = 0; k < dim; k++)

@@ -17,7 +17,7 @@ import numpy as np
 
 from netsom import _backend
 from netsom.core import SomMap, as_matrix, as_vector
-from netsom.dataio import Dataset
+from netsom.dataio import Dataset, json_fields
 from netsom.mapfile import write_atomic
 
 BASELINE_FORMAT_VERSION = 1
@@ -170,17 +170,14 @@ def baseline_to_json_dict(baseline: AnomalyBaseline) -> dict:
 
 
 def baseline_from_json_dict(payload: dict, som: SomMap) -> AnomalyBaseline:
-    version = payload.get("format_version")
+    (version,) = json_fields(payload, "baseline", format_version=int)
     if version != BASELINE_FORMAT_VERSION:
         raise ValueError(
             f"unsupported baseline format version {version} (expected {BASELINE_FORMAT_VERSION})"
         )
-    try:
-        return AnomalyBaseline(
-            map=som,
-            threshold=float(payload["threshold"]),
-            threshold_percentile=float(payload["percentile"]),
-            calibration_size=int(payload["calibration_size"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed baseline record: {exc!r}") from None
+    threshold, percentile, size = json_fields(
+        payload, "baseline", threshold=float, percentile=float, calibration_size=int
+    )
+    return AnomalyBaseline(
+        map=som, threshold=threshold, threshold_percentile=percentile, calibration_size=size
+    )

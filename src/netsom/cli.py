@@ -151,7 +151,7 @@ def run_umatrix(args) -> int:
 
 
 def run_detect(args) -> int:
-    model, baseline = _load_pipeline(args, cal_label_column=args.calibration_label_column)
+    model, baseline = _load_pipeline(args)
     scoring = load_csv(args.input, has_header=not args.no_header, label_column=args.label_column)
     scored = apply_normalizer(model, scoring)
     verdicts = score_batch(baseline, scored.vectors)
@@ -169,7 +169,7 @@ def run_detect(args) -> int:
 
 
 def run_eval(args) -> int:
-    model, baseline = _load_pipeline(args, cal_label_column=args.calibration_label_column)
+    model, baseline = _load_pipeline(args)
     labeled = load_csv(args.input, has_header=True, label_column=args.label_column)
     scored = apply_normalizer(model, labeled)
     summary = evaluate(baseline, scored)
@@ -192,7 +192,7 @@ def run_eval(args) -> int:
     return 0
 
 
-def _load_pipeline(args, cal_label_column):
+def _load_pipeline(args):
     """Load map + persisted normalizer, then build or load the baseline."""
     som = load_map(args.map)
     norm_path = _normalizer_path(args.map, args.normalizer)
@@ -210,7 +210,9 @@ def _load_pipeline(args, cal_label_column):
         if args.calibration is None:
             raise ValueError("either --calibration or --baseline is required")
         cal = load_csv(
-            args.calibration, has_header=not args.no_header, label_column=cal_label_column
+            args.calibration,
+            has_header=not args.no_header,
+            label_column=args.calibration_label_column,
         )
         cal = apply_normalizer(model, cal)
         baseline = calibrate(som, cal.vectors, args.percentile)
@@ -292,8 +294,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_det.add_argument("--out", required=True, help="verdict CSV output")
     p_det.add_argument("--save-baseline", default=None,
                        help="also save the calibrated baseline as JSON")
-    p_det.add_argument("--calibration-label-column", default=None,
-                       help="label column to strip from the calibration CSV, if any")
     _add_csv_flags(p_det)
     p_det.set_defaults(func=run_detect)
 
@@ -301,8 +301,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_pipeline_flags(p_eval)
     p_eval.add_argument("--label-column", default="label",
                         help="label column of the scored CSV (default: label)")
-    p_eval.add_argument("--calibration-label-column", default=None,
-                        help="label column to strip from the calibration CSV, if any")
     p_eval.add_argument("--no-header", action="store_true",
                         help="calibration CSV has no header line")
     p_eval.set_defaults(func=run_eval)
@@ -317,6 +315,8 @@ def _add_pipeline_flags(p) -> None:
     p.add_argument("--calibration", default=None, help="normal-data CSV for calibration")
     p.add_argument("--baseline", default=None, help="previously saved baseline JSON")
     p.add_argument("--percentile", type=float, default=99.0)
+    p.add_argument("--calibration-label-column", default=None,
+                   help="label column to strip from the calibration CSV, if any")
     p.add_argument("--input", required=True, help="CSV of vectors to score")
 
 

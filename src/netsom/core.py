@@ -246,7 +246,6 @@ def train(
     qe_sample_every: int | None = None,
     qe_threshold: float | None = None,
     seed: int | None = None,
-    kernel_cutoff: float = 0.0,
 ) -> tuple[SomMap, TrainingReport]:
     """Run ``schedule.total_steps`` stimulus/winner/update cycles.
 
@@ -254,8 +253,7 @@ def train(
     and every ``qe_sample_every`` steps in between. When ``qe_threshold`` is
     given, training stops early at the first sample strictly below it
     (requires ``qe_sample_every``). ``seed`` feeds the stimulus stream and
-    defaults to the map's creation seed. ``kernel_cutoff`` > 0 skips nodes
-    farther than that many sigmas from the winner (a speed knob; 0 = exact).
+    defaults to the map's creation seed.
 
     Returns the trained map and a TrainingReport.
     """
@@ -286,7 +284,7 @@ def train(
         end = min(total, done + chunk)
         _backend.run_steps(
             weights, data, stimuli[done:end], alphas[done:end], sigmas[done:end],
-            som.shape.cols, kernel_cutoff,
+            som.shape.cols,
         )
         done = end
         final_qe = qe_of(weights)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import reprlib
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -25,6 +26,9 @@ LABEL_ANOMALOUS = "anomalous"
 _STAT_KEYS = {"minmax": ("min", "max"), "zscore": ("mean", "stddev"), "none": ()}
 NORMALIZATION_METHODS = tuple(_STAT_KEYS)
 NORMALIZER_FORMAT_VERSION = 1
+# The kinds json_fields checks, by the name its errors give them.
+_JSON_KINDS = {int: "an integer", float: "a number", str: "a string", list: "an array",
+               dict: "an object"}
 
 
 class CsvFormatError(ValueError):
@@ -306,23 +310,66 @@ def normalizer_to_json_dict(model: NormalizationModel) -> dict:
 
 
 def normalizer_from_json_dict(payload: dict) -> NormalizationModel:
-    version = payload.get("format_version")
+    (version,) = json_fields(payload, "normalizer", format_version=int)
     if version != NORMALIZER_FORMAT_VERSION:
         raise ValueError(
             f"unsupported normalizer format version {version} (expected {NORMALIZER_FORMAT_VERSION})"
         )
-    try:
-        method, dim, degenerate = payload["method"], payload["dim"], payload["degenerate"]
-        stats = {k: np.asarray(v, dtype=np.float64) for k, v in payload["stats"].items()}
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ValueError(f"malformed normalizer record: {exc!r}") from None
-    if not (isinstance(degenerate, list) and all(isinstance(b, bool) for b in degenerate)):
+    method, dim, raw_stats, degenerate = json_fields(
+        payload, "normalizer", method=str, dim=int, stats=dict, degenerate=list
+    )
+    if not all(isinstance(b, bool) for b in degenerate):
         raise ValueError("normalizer degenerate flags must be a list of booleans")
     if dim != len(degenerate):
         raise ValueError(f"normalizer dim {dim} does not match {len(degenerate)} flags")
+    stats = {}
+    for key, values in raw_stats.items():
+        numbers = [json_number(v) for v in values] if isinstance(values, list) else [None]
+        if None in numbers:
+            raise ValueError(f"statistic {key!r} must hold {dim} finite values")
+        stats[key] = np.asarray(numbers, dtype=np.float64)
     return NormalizationModel(
         method=method, stats=stats, degenerate=np.asarray(degenerate, dtype=bool)
     )
+
+
+def json_fields(payload, record: str, **kinds) -> list:
+    """Values of the named fields of a JSON ``record``, in the order given.
+
+    ``payload`` must be a JSON object holding every field with its kind, one
+    of ``int`` (an integer), ``float`` (any number, returned as a float, see
+    :func:`json_number`), ``str``, ``list`` or ``dict``. A boolean is not a
+    number. Raises ValueError naming the record and the field.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError(f"malformed {record} record: expected a JSON object, got {reprlib.repr(payload)}")
+    values = []
+    for key, kind in kinds.items():
+        if key not in payload:
+            raise ValueError(f"malformed {record} record: missing field {key!r}")
+        value = payload[key]
+        if kind is float:
+            value = json_number(value)
+        elif isinstance(value, bool) or not isinstance(value, kind):
+            value = None
+        if value is None:
+            raise ValueError(
+                f"malformed {record} record: {key!r} must be {_JSON_KINDS[kind]}, "
+                f"got {reprlib.repr(payload[key])}"
+            )
+        values.append(value)
+    return values
+
+
+def json_number(value) -> float | None:
+    """``value`` as a float if it is a JSON number, else None: booleans,
+    numeric strings and integers beyond the float range are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return None
 
 
 def _take(data: Dataset, indices: np.ndarray) -> Dataset:

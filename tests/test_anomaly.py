@@ -149,6 +149,21 @@ class TestEvaluate:
         assert summary.detection_rate == 8 / 10
         assert summary.false_positive_rate == 3 / 90
 
+    def test_residual_at_threshold_is_not_flagged(self):
+        # Residual 1.0 equals the threshold: normal, as in score_batch, so the
+        # anomalous row is missed (FN) and the normal rows stay quiet (TN).
+        baseline = self._baseline()
+        vectors = np.array([[1.0], [-1.0], [1.0]])
+        verdicts = score_batch(baseline, vectors)
+        assert [(v.residual, v.is_anomalous) for v in verdicts] == [(1.0, False)] * 3
+        summary = evaluate(baseline, Dataset(vectors=vectors, labels=np.array([True, False, False])))
+        assert (
+            summary.true_positives,
+            summary.false_positives,
+            summary.true_negatives,
+            summary.false_negatives,
+        ) == (0, 0, 2, 1)
+
     def test_degenerate_no_anomalous_labels(self):
         ds = Dataset(vectors=np.array([[0.1], [5.0]]), labels=np.array([False, False]))
         summary = evaluate(self._baseline(), ds)
@@ -203,6 +218,32 @@ class TestBaselineJson:
         del payload["calibration_size"]
         with pytest.raises(ValueError, match="malformed baseline record"):
             baseline_from_json_dict(payload, som)
+
+    @pytest.mark.parametrize(
+        "field, value, kind",
+        [
+            ("format_version", True, "an integer"),
+            ("calibration_size", 2.7, "an integer"),
+            ("calibration_size", "12", "an integer"),
+            ("calibration_size", True, "an integer"),
+            ("threshold", True, "a number"),
+            ("threshold", "1.25", "a number"),
+            pytest.param("threshold", 10**400, "a number", id="threshold-int-beyond-float"),
+            ("percentile", "97.5", "a number"),
+            ("percentile", None, "a number"),
+        ],
+    )
+    def test_field_of_wrong_kind_rejected(self, field, value, kind):
+        som = single_node_map()
+        payload = baseline_to_json_dict(AnomalyBaseline(som, 1.25, 97.5, 42))
+        payload[field] = value
+        with pytest.raises(ValueError, match=f"malformed baseline record: '{field}' must be {kind}"):
+            baseline_from_json_dict(payload, som)
+
+    @pytest.mark.parametrize("payload", ["x", [1], None])
+    def test_non_object_rejected(self, payload):
+        with pytest.raises(ValueError, match="expected a JSON object"):
+            baseline_from_json_dict(payload, single_node_map())
 
 
 class TestSyntheticDetection:

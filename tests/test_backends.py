@@ -76,14 +76,14 @@ class TestBmuParity:
 
 
 def steps_case(kind, rng, shape, n_data=120):
-    """(data, start weights, kernel cutoff, scale) for one training run.
+    """(data, start weights, scale) for one training run.
 
     Weights are compared in units of ``scale``, the magnitude of the data.
     """
     dim = 1 if kind == "dim_1" else 3
     data = rng.uniform(0, 1, size=(n_data, dim))
     start = rng.uniform(0, 1, size=(shape.node_count, dim))
-    cutoff, scale = 0.0, 1.0
+    scale = 1.0
     if kind == "exact_ties":
         data = rng.integers(0, 3, size=data.shape) / 2.0
         start = rng.integers(0, 3, size=start.shape) / 2.0
@@ -91,16 +91,14 @@ def steps_case(kind, rng, shape, n_data=120):
         start = np.tile(start[: shape.node_count // 4], (4, 1))
     elif kind == "input_on_node":
         data[: shape.node_count] = start
-    elif kind == "cutoff":
-        cutoff = 1.5
     elif kind.startswith("scale_"):
         scale = float(kind[len("scale_"):])
         data, start = data * scale, start * scale
-    return np.ascontiguousarray(data), np.ascontiguousarray(start), cutoff, scale
+    return np.ascontiguousarray(data), np.ascontiguousarray(start), scale
 
 
 STEPS_KINDS = ["random", "exact_ties", "duplicate_nodes", "input_on_node", "dim_1",
-               "cutoff", "scale_1e-150", "scale_1e150"]
+               "scale_1e-150", "scale_1e150"]
 
 
 class TestRunStepsParity:
@@ -108,7 +106,7 @@ class TestRunStepsParity:
     def test_trained_weights_agree(self, compiled, kind):
         rng = np.random.default_rng(1)
         shape = GridShape(8, 8)
-        data, start, cutoff, scale = steps_case(kind, rng, shape)
+        data, start, scale = steps_case(kind, rng, shape)
         schedule = TrainingSchedule(total_steps=2000, sigma_start=4.0)
         alphas, sigmas = _schedule_arrays(schedule)
         stimuli = np.ascontiguousarray(
@@ -116,8 +114,8 @@ class TestRunStepsParity:
         )
         w_py = start.copy()
         w_c = start.copy()
-        _core_py.run_steps(w_py, data, stimuli, alphas, sigmas, shape.cols, cutoff)
-        compiled.run_steps(w_c, data, stimuli, alphas, sigmas, shape.cols, cutoff)
+        _core_py.run_steps(w_py, data, stimuli, alphas, sigmas, shape.cols)
+        compiled.run_steps(w_c, data, stimuli, alphas, sigmas, shape.cols)
         np.testing.assert_allclose(w_c / scale, w_py / scale, rtol=0, atol=1e-12)
 
     def test_single_step_matches_public_adapt(self, compiled):
@@ -134,23 +132,9 @@ class TestRunStepsParity:
                 got, x,
                 np.zeros(1, dtype=np.int64),
                 np.full(1, 0.4), np.full(1, 1.5),
-                shape.cols, 0.0,
+                shape.cols,
             )
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
-
-    def test_cutoff_skips_far_nodes_identically(self, compiled):
-        rng = np.random.default_rng(4)
-        shape = GridShape(6, 6)
-        data = np.ascontiguousarray(rng.uniform(0, 1, size=(30, 2)))
-        start = np.ascontiguousarray(rng.uniform(0, 1, size=(36, 2)))
-        stimuli = np.ascontiguousarray(rng.integers(0, 30, size=200), dtype=np.int64)
-        alphas = np.full(200, 0.3)
-        sigmas = np.full(200, 1.0)
-        w_py = start.copy()
-        w_c = start.copy()
-        _core_py.run_steps(w_py, data, stimuli, alphas, sigmas, shape.cols, 2.0)
-        compiled.run_steps(w_c, data, stimuli, alphas, sigmas, shape.cols, 2.0)
-        np.testing.assert_allclose(w_c, w_py, rtol=0, atol=1e-12)
 
 
 def steps_args(**changes):
@@ -163,7 +147,6 @@ def steps_args(**changes):
         "alphas": np.full(4, 0.5),
         "sigmas": np.full(4, 1.0),
         "cols": 3,
-        "cutoff": 0.0,
     }
     args.update(changes)
     return args

@@ -229,6 +229,26 @@ class TestDetectCommand:
         assert rc != 0
         assert "normalizer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("artifact", ["normalizer", "baseline"])
+    def test_non_object_json_refused(self, tmp_path, normal_cluster, capsys, artifact):
+        out = tmp_path / "map.som"
+        main(quick_train_args(normal_cluster, out))
+        baseline_path = tmp_path / "baseline.json"
+        baseline_path.write_text(json.dumps(
+            baseline_to_json_dict(AnomalyBaseline(load_map(out), 1.0, 99.0, 400))
+        ))
+        bad = tmp_path / "map.som.norm.json" if artifact == "normalizer" else baseline_path
+        bad.write_text("[1]\n")
+        capsys.readouterr()
+        rc = main([
+            "detect", "--map", str(out), "--baseline", str(baseline_path),
+            "--input", normal_cluster, "--out", str(tmp_path / "v.csv"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: malformed {artifact} record: expected a JSON object, got [1]\n"
+        assert not (tmp_path / "v.csv").exists()
+
     def test_dimension_mismatch_states_both(self, tmp_path, normal_cluster, capsys):
         out = tmp_path / "map.som"
         main(quick_train_args(normal_cluster, out))

@@ -384,14 +384,6 @@ class TestTrain:
         with pytest.raises(ValueError, match="qe_sample_every"):
             train(som, [(0.5,)], schedule, qe_threshold=0.1, seed=1)
 
-    def test_kernel_cutoff_is_a_no_op_at_eight_sigma(self):
-        data = four_cluster_data()
-        som = initialize(GridShape(10, 10), 2, bounds_of(data), seed=42)
-        schedule = TrainingSchedule.default_for(som.shape)
-        _, exact = train(som, data, schedule, seed=43)
-        _, truncated = train(som, data, schedule, seed=43, kernel_cutoff=8.0)
-        assert abs(truncated.final_qe - exact.final_qe) < 1e-9
-
     def test_dimension_mismatch_rejected(self):
         som = initialize(GridShape(2, 2), 2, [(0.0, 1.0)] * 2, seed=1)
         schedule = TrainingSchedule(total_steps=10, ordering_steps=5, sigma_start=1.0)

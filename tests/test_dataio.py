@@ -194,12 +194,26 @@ class TestNormalizer:
             ("minmax", {"degenerate": [0, 1]}, "booleans"),
             ("minmax", {"method": "robust"}, "unknown normalization method"),
             ("minmax", {"stats": None}, "malformed"),
+            ("minmax", {"format_version": True}, "'format_version' must be an integer"),
+            ("minmax", {"dim": True}, "'dim' must be an integer"),
+            ("minmax", {"dim": 2.0}, "'dim' must be an integer"),
+            ("minmax", {"method": 1}, "'method' must be a string"),
+            ("minmax", {"degenerate": None}, "'degenerate' must be an array"),
+            ("minmax", {"stats": {"min": ["0", "2"], "max": [1.0, 3.0]}}, "finite values"),
+            ("minmax", {"stats": {"min": [False, 2.0], "max": [1.0, 3.0]}}, "finite values"),
+            ("minmax", {"stats": {"min": "02", "max": [1.0, 3.0]}}, "finite values"),
+            ("minmax", {"stats": {"min": [0.0, 10**400], "max": [1.0, 3.0]}}, "finite values"),
         ],
     )
     def test_malformed_json_rejected(self, method, change, message):
         model = fit_normalizer(Dataset(vectors=np.array([[0.0, 2.0], [1.0, 3.0]])), method)
         payload = {**normalizer_to_json_dict(model), **change}
         with pytest.raises(ValueError, match=message):
+            normalizer_from_json_dict(payload)
+
+    @pytest.mark.parametrize("payload", [[1], "x", None, 1])
+    def test_non_object_rejected(self, payload):
+        with pytest.raises(ValueError, match="expected a JSON object"):
             normalizer_from_json_dict(payload)
 
     def test_missing_field_rejected(self):
