@@ -201,11 +201,10 @@ def _load_pipeline(args):
             f"normalizer file not found: {norm_path} "
             "(train writes it alongside the map; pass --normalizer to point at it)"
         )
-    model = normalizer_from_json_dict(json.loads(Path(norm_path).read_text(encoding="utf-8")))
+    model = normalizer_from_json_dict(_read_json(norm_path, "normalizer"))
 
     if args.baseline is not None:
-        payload = json.loads(Path(args.baseline).read_text(encoding="utf-8"))
-        baseline = baseline_from_json_dict(payload, som)
+        baseline = baseline_from_json_dict(_read_json(args.baseline, "baseline"), som)
     else:
         if args.calibration is None:
             raise ValueError("either --calibration or --baseline is required")
@@ -239,6 +238,15 @@ def _parse_fractions(text: str) -> tuple[float, float, float]:
 
 def _normalizer_path(map_path, override) -> str:
     return str(override) if override is not None else f"{map_path}.norm.json"
+
+
+def _read_json(path, artifact: str):
+    """The JSON value in ``path``; a file that is not UTF-8 JSON raises a
+    ValueError naming the artifact and the path."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"cannot read {artifact} {path}: {exc}") from None
 
 
 def _write_json(path, payload: dict) -> None:

@@ -1,10 +1,24 @@
 """CSV ingestion, feature normalization, and seeded dataset splitting.
 
-Accepted CSV dialect: comma separator, '.' decimal point, optional single
-header line, optional label column with values ``normal``/``anomalous``,
-UTF-8, LF or CRLF line endings. Categorical features must be pre-encoded
-to numbers upstream (as KDD-style pipelines do); the loader rejects
-anything that is not a finite decimal numeral.
+Accepted CSV dialect: UTF-8 text, cut into lines where ``str.splitlines``
+cuts it: at LF and CRLF, but also at a lone CR, VT, FF, \\x1c-\\x1e, NEL,
+U+2028 and U+2029. Empty lines are skipped; a line of spaces is a row.
+Fields are split at commas by the ``csv`` module's default dialect, so a
+field that starts with a double quote is unquoted, may hold commas, and may
+run on into the next line (the line break is dropped). An optional first
+line is the header. An optional label column, named in the header, holds
+``normal`` or ``anomalous``, with surrounding whitespace ignored. Every
+other field must be a number that Python's ``float()`` reads as finite:
+surrounding whitespace, a sign, a leading or trailing '.', an exponent,
+underscores between digits and non-ASCII decimal digits are accepted;
+``nan``, ``inf`` and values beyond the float range are rejected.
+Categorical features must be pre-encoded to numbers upstream (as KDD-style
+pipelines do).
+
+ASCII text with no double quote and no control character but tab, CR and
+LF is parsed by one ``np.loadtxt`` call. Any other text, and any malformed
+input, is parsed row by row, which gives the same values and names the
+1-based row and column of the first error.
 """
 
 from __future__ import annotations
@@ -22,6 +36,12 @@ from netsom.mapfile import write_atomic
 
 LABEL_NORMAL = "normal"
 LABEL_ANOMALOUS = "anomalous"
+# What the fast CSV path parses a label to; an unknown label parses to NaN.
+_LABEL_VALUES = {LABEL_NORMAL: 0.0, LABEL_ANOMALOUS: 1.0}
+# Characters that send CSV text to the row-by-row parser: the quote, which
+# csv unquotes, and the ASCII control characters but tab, LF and CR, some of
+# which np.loadtxt strips around a number where float() rejects them.
+_ROW_BY_ROW_CHARS = '"' + "".join(map(chr, (*range(9), 11, 12, *range(14, 32), 127)))
 # The per-dimension statistics each normalization method keeps.
 _STAT_KEYS = {"minmax": ("min", "max"), "zscore": ("mean", "stddev"), "none": ()}
 NORMALIZATION_METHODS = tuple(_STAT_KEYS)
@@ -120,6 +140,69 @@ def load_csv(source, has_header: bool = True, label_column: str | None = None) -
     so with a header the first data row is row 2.
     """
     text = _read_text(source)
+    dataset = _load_fast(text, has_header, label_column)
+    if dataset is None:
+        dataset = _load_rows(text, has_header, label_column)
+    return dataset
+
+
+def _load_fast(text: str, has_header: bool, label_column: str | None) -> Dataset | None:
+    """What :func:`_load_rows` returns for ``text``, parsed by one
+    ``np.loadtxt`` call, or None wherever the two parsers could disagree.
+
+    Both read the same ``text.splitlines()`` and convert numbers with the
+    same correctly rounded routine, so they agree on ASCII text without
+    quotes and control characters (tab, CR and LF aside). loadtxt rejects a
+    row whose field count differs from the first row's; the header's count,
+    the row count, finite values and known labels are checked here. A None
+    sends the text to ``_load_rows``, the only code that raises
+    :class:`CsvFormatError`.
+    """
+    import warnings
+
+    if not text.isascii() or any(c in text for c in _ROW_BY_ROW_CHARS):
+        return None
+    lines = text.splitlines()
+    body = lines[1:] if has_header else lines
+    rows = len(body) - body.count("")  # csv reads no row from an empty line
+    if rows == 0 or (label_column is not None and not has_header):
+        return None
+    first = lines[0] if has_header else next(line for line in body if line)
+    if not first:  # csv reads an empty header line as no fields, not one
+        return None
+    fields = first.count(",") + 1
+    names = [h.strip() for h in first.split(",")] if has_header else None
+    label_idx = None
+    converters = None
+    if label_column is not None:
+        if label_column not in names or fields == 1:
+            return None
+        label_idx = names.index(label_column)
+        del names[label_idx]
+        converters = {label_idx: lambda field: _LABEL_VALUES.get(field.strip(), math.nan)}
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = np.loadtxt(
+                body, delimiter=",", dtype=np.float64, comments=None, ndmin=2,
+                converters=converters,
+            )
+    except (ValueError, Warning):
+        return None
+    if data.shape != (rows, fields) or not np.isfinite(data).all():
+        return None
+    if label_idx is None:
+        return Dataset(vectors=data, column_names=names)
+    return Dataset(
+        vectors=np.delete(data, label_idx, axis=1),
+        column_names=names,
+        labels=data[:, label_idx] == _LABEL_VALUES[LABEL_ANOMALOUS],
+    )
+
+
+def _load_rows(text: str, has_header: bool, label_column: str | None) -> Dataset:
+    """Parse ``text`` row by row with :mod:`csv` and ``float()``; the
+    reference for :func:`_load_fast` and the source of every diagnostic."""
     lines = text.splitlines()
     reader = csv.reader(lines)
     rows = list(reader)

@@ -3,7 +3,10 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from netsom import dataio
 from netsom.dataio import (
     CsvFormatError,
     Dataset,
@@ -15,6 +18,121 @@ from netsom.dataio import (
     save_csv,
     split,
 )
+
+
+def _ds(values, names, labels=None):
+    return Dataset(np.array(values, dtype=np.float64), names, labels)
+
+
+# The dialect of load_csv, pinned case by case: each input gives this exact
+# dataset (bit for bit, so -0.0 stays negative) or this exact error message.
+DIALECT = [
+    pytest.param(b"a,b\r1,2\r3,4\r", None, _ds([[1, 2], [3, 4]], ["a", "b"]), id="lone-cr"),
+    pytest.param(b"a\x0b1\x0b2", None, _ds([[1], [2]], ["a"]), id="vt-line-break"),
+    pytest.param(b"a\x0c1\x0c2\n", None, _ds([[1], [2]], ["a"]), id="ff-line-break"),
+    pytest.param(b"a,b\r\n1,2\r3,4\n", None, _ds([[1, 2], [3, 4]], ["a", "b"]),
+                 id="mixed-breaks"),
+    pytest.param(b"a,b\n\n1,2\n\n\n3,4\n", None, _ds([[1, 2], [3, 4]], ["a", "b"]),
+                 id="blank-lines"),
+    pytest.param(b"a,b\n1,2\n  \n3,4\n", None, "expected 2 fields, found 1 (row 3)",
+                 id="whitespace-line"),
+    pytest.param(b"a\n1\n \n", None, "not a number: ' ' (row 3, column 1)",
+                 id="whitespace-line-one-column"),
+    pytest.param(b"\n1\n", None, "expected 0 fields, found 1 (row 2)", id="empty-header-line"),
+    pytest.param(b'"a",b\n1,2\n', None, _ds([[1, 2]], ["a", "b"]), id="quoted-header"),
+    pytest.param(b'"a,b",c\n1,2\n', None, _ds([[1, 2]], ["a,b", "c"]), id="quoted-comma"),
+    pytest.param(b"a,b\n1,2\n3,4,5\n", None, "expected 2 fields, found 3 (row 3)",
+                 id="extra-field"),
+    pytest.param(b"a,b\n1,2,3\n4,5,6\n", None, "expected 2 fields, found 3 (row 2)",
+                 id="extra-field-in-every-row"),
+    pytest.param(b"a,b\n1,2\n3\n", None, "expected 2 fields, found 1 (row 3)",
+                 id="missing-field"),
+    pytest.param(b"x,label\n1,normal\n2,normal,3\n", "label",
+                 "expected 2 fields, found 3 (row 3)", id="extra-field-behind-label"),
+    pytest.param(b"x,label\n1,normal\n2\n", "label", "expected 2 fields, found 1 (row 3)",
+                 id="missing-label-field"),
+    pytest.param(b"x,label,y\n1, anomalous ,2\n", "label", _ds([[1, 2]], ["x", "y"], [True]),
+                 id="label-inside"),
+    pytest.param(b"x,label\n1,Normal\n", "label",
+                 "label must be 'normal' or 'anomalous', got 'Normal' (row 2, column 2)",
+                 id="unknown-label"),
+    pytest.param(b"label\nnormal\n", "label", "no feature columns besides the label",
+                 id="label-only"),
+    pytest.param(b"a\n1\nnan\n", None, "non-finite value: 'nan' (row 3, column 1)", id="nan"),
+    pytest.param(b"a\nInfinity\n", None, "non-finite value: 'Infinity' (row 2, column 1)",
+                 id="infinity"),
+    pytest.param(b"a\n1e400\n", None, "non-finite value: '1e400' (row 2, column 1)",
+                 id="overflow"),
+    pytest.param(b"a\n1e-400\n", None, _ds([[0]], ["a"]), id="underflow"),
+    pytest.param(b"a\n1_000\n", None, _ds([[1000]], ["a"]), id="underscore"),
+    pytest.param(b'a\n"1.5"\n', None, _ds([[1.5]], ["a"]), id="quoted"),
+    pytest.param("a\n\u0661\n".encode(), None, _ds([[1]], ["a"]), id="arabic-indic-digit"),
+    pytest.param(b"a\n 1.5 \n", None, _ds([[1.5]], ["a"]), id="padded"),
+    pytest.param(b"a\n\t1.5\n", None, _ds([[1.5]], ["a"]), id="tab-padded"),
+    pytest.param(b"a\n\x1f1\n", None, r"not a number: '\x1f1' (row 2, column 1)",
+                 id="unit-separator-padded"),
+    pytest.param(b"a,b,c\n+1,-0,.5\n", None, _ds([[1, -0.0, 0.5]], ["a", "b", "c"]),
+                 id="signs-and-point"),
+    pytest.param(b"a\n0x10\n", None, "not a number: '0x10' (row 2, column 1)", id="hex"),
+    pytest.param(b"a\n1\x002\n", None, r"not a number: '1\x002' (row 2, column 1)", id="nul"),
+]
+
+
+def _outcome(parse):
+    """What ``parse()`` makes of its input: the dataset's bytes, or the error."""
+    try:
+        ds = parse()
+    except CsvFormatError as exc:
+        return str(exc)
+    labels = None if ds.labels is None else ds.labels.tobytes()
+    return ds.vectors.shape, ds.vectors.tobytes(), ds.column_names, labels
+
+
+# The differential test's alphabet: plain numbers and labels, and the odd
+# fields, header names and line breaks of DIALECT and its neighbours.
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**20, 10**20).map(str),
+)
+LABELS = st.sampled_from(["normal", "anomalous", " normal"])
+ODD_FIELDS = st.sampled_from([
+    "-0", "+1", ".5", "5.", "1E-400", "1e400", "007", " 1.5 ", "\t2", "1_000", '"1.5"',
+    "\u0661", "\xa01", "1\u2009", "\x1f1", "1\x1c", "1\x00", "nan", "-inf", "Infinity", "0x10",
+    "", " ", "oops", "normal", " anomalous ", "Normal",
+])
+ODD_NAMES = st.sampled_from(["", " c ", '"c"', '"c,d"', "ç", "label", " label", '"label"'])
+ODD_BREAKS = st.sampled_from(
+    ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", " ", "\n\n", "\n \n"]
+)
+
+
+@st.composite
+def csv_texts(draw):
+    """(text, has_header, label_column): a CSV of plain numbers, up to 4
+    columns by 6 rows, with up to two odd fields, line breaks or row widths."""
+    width = draw(st.integers(1, 4))
+    has_header = draw(st.booleans())
+    label = draw(st.sampled_from([None, "label"])) if has_header else None
+    where = draw(st.integers(0, width - 1))
+    lines = [[draw(NUMBERS) for _ in range(width)] for _ in range(draw(st.integers(0, 6)))]
+    if label is not None:
+        for line in lines:
+            line[where] = draw(LABELS)
+    if has_header:
+        lines.insert(0, [label if i == where and label else f"c{i}" for i in range(width)])
+    breaks = [draw(st.sampled_from(["\n", "\r\n"]))] * len(lines)
+    for _ in range(draw(st.integers(0, 2)) if lines else 0):
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["field", "break", "width"]))
+        if kind == "field" and lines[i]:
+            odd = ODD_NAMES if has_header and i == 0 else ODD_FIELDS
+            lines[i][draw(st.integers(0, len(lines[i]) - 1))] = draw(odd)
+        elif kind == "break":
+            breaks[i] = draw(ODD_BREAKS)
+        elif kind == "width":
+            lines[i] = lines[i][:-1] if draw(st.booleans()) else lines[i] + ["1"]
+    text = "".join(",".join(line) + brk for line, brk in zip(lines, breaks))
+    return text, has_header, label
 
 
 class TestLoadCsv:
@@ -79,6 +197,34 @@ class TestLoadCsv:
         assert np.array_equal(load_csv(p).vectors, [[1.0], [2.0]])
         with open(p, "rb") as fh:
             assert np.array_equal(load_csv(fh).vectors, [[1.0], [2.0]])
+
+    @pytest.mark.parametrize("data, label_column, expected", DIALECT)
+    def test_dialect(self, data, label_column, expected):
+        if isinstance(expected, Dataset):
+            expected = _outcome(lambda: expected)
+        assert _outcome(lambda: load_csv(data, label_column=label_column)) == expected
+
+    def test_plain_csv_takes_the_fast_path(self, monkeypatch):
+        def row_by_row(*args):
+            raise AssertionError("parsed row by row")
+
+        monkeypatch.setattr(dataio, "_load_rows", row_by_row)
+        ds = load_csv(b"a,label,b\r\n1, normal,-2.5e-3\r\n\r\n+7,anomalous,.5\r\n",
+                      label_column="label")
+        assert ds.column_names == ["a", "b"]
+        assert ds.vectors.tobytes() == np.array([[1.0, -2.5e-3], [7.0, 0.5]]).tobytes()
+        assert ds.labels.tolist() == [False, True]
+        ds = load_csv(b"1,2\n3,4", has_header=False)
+        assert ds.column_names is None
+        assert np.array_equal(ds.vectors, [[1.0, 2.0], [3.0, 4.0]])
+
+    @settings(max_examples=300)
+    @given(csv_texts())
+    def test_fast_path_matches_row_by_row(self, case):
+        text, has_header, label_column = case
+        assert _outcome(lambda: load_csv(text.encode(), has_header, label_column)) == _outcome(
+            lambda: dataio._load_rows(text, has_header, label_column)
+        )
 
 
 class TestSaveCsv:
