@@ -23,7 +23,7 @@ def bmu_batch(weights: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarr
     idx = np.empty(n_inputs, dtype=np.int64)
     dist = np.empty(n_inputs, dtype=np.float64)
     for j in range(n_inputs):
-        d2 = _sq_norms(weights - xs[j])
+        d2 = sq_norms(weights - xs[j])
         best = int(np.argmin(d2))  # argmin keeps the first minimum
         idx[j] = best
         dist[j] = math.sqrt(d2[best])
@@ -42,7 +42,7 @@ def run_steps(
     lattice = node_coords(weights.shape[0], cols)
     for t in range(stimuli.shape[0]):
         diff = xs[stimuli[t]] - weights
-        c = int(np.argmin(_sq_norms(diff)))
+        c = int(np.argmin(sq_norms(diff)))
         pull(weights, diff, c, alphas[t], sigmas[t], lattice)
 
 
@@ -74,11 +74,11 @@ def pull(
     weights += h[:, None] * diff
 
 
-def _sq_norms(diff: np.ndarray) -> np.ndarray:
-    """Squared length of each row of ``diff``, summed one dimension at a time
-    in the compiled kernel's order."""
+def sq_norms(diff: np.ndarray) -> np.ndarray:
+    """Squared length of each vector along the last axis of ``diff``, summed
+    one dimension at a time in the compiled kernel's order."""
     sq = diff * diff
-    d2 = sq[:, 0].copy()
-    for k in range(1, diff.shape[1]):
-        d2 += sq[:, k]
+    d2 = sq[..., 0].copy()
+    for k in range(1, diff.shape[-1]):
+        d2 += sq[..., k]
     return d2

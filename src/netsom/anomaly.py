@@ -18,7 +18,7 @@ import numpy as np
 from netsom import _backend
 from netsom.core import SomMap, as_matrix, as_vector
 from netsom.dataio import Dataset, json_fields
-from netsom.mapfile import write_atomic
+from netsom.mapfile import write_text
 
 BASELINE_FORMAT_VERSION = 1
 VERDICT_CSV_HEADER = "index,bmu,residual,is_anomalous"
@@ -120,7 +120,8 @@ def evaluate(baseline: AnomalyBaseline, labeled: Dataset) -> EvalSummary:
         raise ValueError("dataset has no labels")
     if len(labeled) == 0:
         raise ValueError("labeled dataset is empty")
-    _, dist = _backend.bmu_batch(baseline.map.weights, labeled.vectors)
+    m = as_matrix(labeled.vectors, baseline.map.dim)
+    _, dist = _backend.bmu_batch(baseline.map.weights, m)
     flagged = dist > baseline.threshold
     truth = labeled.labels
     tp = int(np.sum(flagged & truth))
@@ -152,10 +153,7 @@ def verdicts_to_csv(verdicts, destination=None) -> str:
         out.write(f"{v.input_index},{v.bmu},{repr(v.residual)},{flag}\n")
     payload = out.getvalue()
     if destination is not None:
-        if hasattr(destination, "write"):
-            destination.write(payload)
-        else:
-            write_atomic(destination, payload.encode("utf-8"))
+        write_text(destination, payload)
     return payload
 
 

@@ -51,7 +51,7 @@ from netsom.dataio import (
     save_csv,
     split,
 )
-from netsom.mapfile import MAP_FORMAT_VERSION, load_map, save_map, write_atomic
+from netsom.mapfile import MAP_FORMAT_VERSION, load_map, save_map, write_atomic, write_text
 from netsom.umatrix import EXPORT_FORMATS, compute_umatrix, export_umatrix
 
 _VERSION_TEXT = (
@@ -139,7 +139,7 @@ def run_train(args) -> int:
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if args.report is not None:
-        write_atomic(args.report, text.encode("utf-8"))
+        write_text(args.report, text)
     return 0
 
 
@@ -250,7 +250,7 @@ def _read_json(path, artifact: str):
 
 
 def _write_json(path, payload: dict) -> None:
-    write_atomic(path, (json.dumps(payload, indent=2) + "\n").encode("utf-8"))
+    write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:

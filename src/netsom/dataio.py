@@ -24,7 +24,6 @@ input, is parsed row by row, which gives the same values and names the
 from __future__ import annotations
 
 import csv
-import io
 import math
 import reprlib
 from dataclasses import dataclass, replace
@@ -32,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from netsom.mapfile import write_atomic
+from netsom.mapfile import write_text
 
 LABEL_NORMAL = "normal"
 LABEL_ANOMALOUS = "anomalous"
@@ -287,22 +286,16 @@ def save_csv(dataset: Dataset, destination, label_column: str = "label") -> None
     load -> save -> load preserves every value exactly. A path destination
     is written atomically.
     """
-    out = io.StringIO()
+    lines = [",".join(map(repr, row)) for row in dataset.vectors.tolist()]
+    if dataset.labels is not None:
+        flags = (LABEL_ANOMALOUS if flag else LABEL_NORMAL for flag in dataset.labels.tolist())
+        lines = [f"{line},{flag}" for line, flag in zip(lines, flags)]
     if dataset.column_names is not None:
         header = list(dataset.column_names)
         if dataset.labels is not None:
             header.append(label_column)
-        out.write(",".join(header) + "\n")
-    for i in range(len(dataset)):
-        fields = [repr(float(v)) for v in dataset.vectors[i]]
-        if dataset.labels is not None:
-            fields.append(LABEL_ANOMALOUS if dataset.labels[i] else LABEL_NORMAL)
-        out.write(",".join(fields) + "\n")
-    payload = out.getvalue()
-    if hasattr(destination, "write"):
-        destination.write(payload)
-    else:
-        write_atomic(destination, payload.encode("utf-8"))
+        lines.insert(0, ",".join(header))
+    write_text(destination, "".join(line + "\n" for line in lines))
 
 
 def fit_normalizer(data: Dataset, method: str) -> NormalizationModel:

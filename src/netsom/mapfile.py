@@ -100,3 +100,11 @@ def write_atomic(path, payload: bytes) -> None:
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write_text(destination, text: str) -> None:
+    """Write ``text`` to a file object, or atomically as UTF-8 to a path."""
+    if hasattr(destination, "write"):
+        destination.write(text)
+    else:
+        write_atomic(destination, text.encode("utf-8"))

@@ -1,7 +1,8 @@
 """Unified distance matrix: per-node mean weight distance to lattice neighbors.
 
 High values mark ridges between clusters on the trained map; low values mark
-cluster interiors.
+cluster interiors. Distances sum squared differences one dimension at a time,
+as the kernel does, so the values do not depend on the BLAS or the CPU.
 """
 
 from __future__ import annotations
@@ -11,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from netsom._core_py import sq_norms
 from netsom.core import SomMap
-from netsom.grid import GridShape, index_of, neighbors_of, position_of
+from netsom.grid import GridShape
 
 EXPORT_FORMATS = ("grid-csv", "grayscale-image")
 
@@ -39,17 +41,19 @@ def compute_umatrix(som: SomMap) -> UMatrix:
     """Mean Euclidean weight distance from each node to its 4-connected
     neighbors. A 1x1 map has no neighbors and yields the single value 0."""
     shape = som.shape
-    w = som.weights
-    values = np.zeros(shape.node_count, dtype=np.float64)
-    for i in range(shape.node_count):
-        nbrs = neighbors_of(position_of(i, shape), shape)
-        if not nbrs:
-            continue
-        acc = 0.0
-        for q in nbrs:
-            acc += float(np.linalg.norm(w[i] - w[index_of(q, shape)]))
-        values[i] = acc / len(nbrs)
-    return UMatrix(shape=shape, values=values)
+    w = som.weights.reshape(shape.rows, shape.cols, som.dim)
+    vertical = np.sqrt(sq_norms(w[1:] - w[:-1]))  # (r, c) to (r + 1, c)
+    horizontal = np.sqrt(sq_norms(w[:, 1:] - w[:, :-1]))  # (r, c) to (r, c + 1)
+    total = np.zeros((shape.rows, shape.cols))
+    count = np.zeros((shape.rows, shape.cols))
+    # Each node adds its neighbor distances up, down, left, right, the order
+    # of grid.neighbors_of, so the sums round as a per-node loop's would.
+    sides = ((np.s_[1:], vertical), (np.s_[:-1], vertical),
+             (np.s_[:, 1:], horizontal), (np.s_[:, :-1], horizontal))
+    for nodes, edges in sides:
+        total[nodes] += edges
+        count[nodes] += 1.0
+    return UMatrix(shape=shape, values=(total / np.maximum(count, 1.0)).reshape(-1))
 
 
 def export_umatrix(u: UMatrix, format: str) -> bytes:
@@ -61,25 +65,21 @@ def export_umatrix(u: UMatrix, format: str) -> bytes:
     ``grayscale-image``: plain PGM (P2), values min-max scaled to 0..255
     with round-half-away-from-zero; an all-equal matrix maps to all zeros.
     """
+    grid = (u.shape.rows, u.shape.cols)
     if format == "grid-csv":
-        lines = []
-        for r in range(u.shape.rows):
-            row = u.values[r * u.shape.cols : (r + 1) * u.shape.cols]
-            lines.append(",".join(repr(float(v)) for v in row))
-        return ("\n".join(lines) + "\n").encode("ascii")
-    if format == "grayscale-image":
+        lines = [",".join(map(repr, row)) for row in u.values.reshape(grid).tolist()]
+    elif format == "grayscale-image":
         vmin = float(u.values.min())
         vmax = float(u.values.max())
         if vmax > vmin:
             scaled = (u.values - vmin) / (vmax - vmin) * 255.0
-            pixels = [int(math.floor(x + 0.5)) for x in scaled]
         else:
-            pixels = [0] * u.shape.node_count
+            scaled = np.zeros_like(u.values)
         lines = [f"P2\n{u.shape.cols} {u.shape.rows}\n255"]
-        for r in range(u.shape.rows):
-            row = pixels[r * u.shape.cols : (r + 1) * u.shape.cols]
-            lines.append(" ".join(str(p) for p in row))
-        return ("\n".join(lines) + "\n").encode("ascii")
-    raise ValueError(
-        f"unsupported export format {format!r}; expected one of {', '.join(EXPORT_FORMATS)}"
-    )
+        for row in scaled.reshape(grid).tolist():
+            lines.append(" ".join(str(math.floor(x + 0.5)) for x in row))
+    else:
+        raise ValueError(
+            f"unsupported export format {format!r}; expected one of {', '.join(EXPORT_FORMATS)}"
+        )
+    return ("\n".join(lines) + "\n").encode("ascii")

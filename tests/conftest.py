@@ -7,9 +7,11 @@ are checked against.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import shutil
 import subprocess
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,16 @@ from netsom import _core_c
 # limit per example, so tier-1 neither varies nor flakes on a loaded machine.
 settings.register_profile("tier1", derandomize=True, deadline=None)
 settings.load_profile("tier1")
+
+# When a @given test fails, Hypothesis imports its patch module to suggest a
+# fix, and a dependency of that module warns DeprecationWarning on import.
+# Under filterwarnings = ["error"] that warning became an INTERNALERROR that
+# hid the falsifying example and stopped the run. Import it once here, with
+# that warning ignored, so a failure is reported like any other. Without
+# libcst the module does not import and Hypothesis suggests no patch.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 KERNEL_SOURCE = Path(__file__).resolve().parents[1] / "src" / "netsom" / "_kernel.c"
 

@@ -175,6 +175,13 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="no labels"):
             evaluate(self._baseline(), Dataset(vectors=np.array([[1.0]])))
 
+    def test_dimension_mismatch(self):
+        # One message on either backend, as in calibrate and score_batch.
+        som = SomMap(GridShape(3, 3), np.zeros((9, 4)), seed=0)
+        ds = Dataset(vectors=np.ones((2, 3)), labels=np.array([False, True]))
+        with pytest.raises(ValueError, match=r"^dimension mismatch: expected 4, got 3$"):
+            evaluate(AnomalyBaseline(som, 1.0, 99.0, 10), ds)
+
 
 class TestVerdictCsv:
     def test_exact_format(self):
