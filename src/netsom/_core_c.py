@@ -42,7 +42,7 @@ class Kernel:
         self._bmu.argtypes = [_PTR, _I64, _I64, _PTR, _I64, _PTR, _PTR]
         self._bmu.restype = None
         self._steps = lib.netsom_run_steps
-        self._steps.argtypes = [_PTR, _I64, _I64, _PTR, _PTR, _PTR, _PTR, _I64, _I64]
+        self._steps.argtypes = [_PTR, _I64, _I64, _PTR, _PTR, _PTR, _PTR, _I64, _I64, _PTR]
         self._steps.restype = None
 
     def bmu_batch(self, weights: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -78,8 +78,13 @@ class Kernel:
             raise IndexError(f"stimulus index outside [0, {n_inputs})")
         if cols < 1:
             raise ValueError(f"cols must be at least 1, got {cols}")
+        if n_nodes % cols:
+            raise ValueError(f"{n_nodes} nodes do not fill a lattice with {cols} columns")
+        # The kernel's working memory: dim-major weights, distances, factors
+        # and the factor table. Allocated here, so a failure is a MemoryError.
+        scratch = np.empty(n_nodes * (dim + 3), dtype=np.float64)
         self._steps(weights.ctypes.data, n_nodes, dim, xs.ctypes.data, stimuli.ctypes.data,
-                    alphas.ctypes.data, sigmas.ctypes.data, n_steps, cols)
+                    alphas.ctypes.data, sigmas.ctypes.data, n_steps, cols, scratch.ctypes.data)
 
 
 def _shape(a, dtype, ndim: int, name: str) -> tuple[int, ...]:

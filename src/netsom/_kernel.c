@@ -5,8 +5,34 @@
  * to the lowest node index, and the update is w += h * (x - w). Build with
  * -ffp-contract=off: fused multiply-adds would round differently from the
  * pure backend. The caller validates shapes, dtypes and indices.
+ *
+ * netsom_bmu_batch searches the row-major weights as given. netsom_run_steps
+ * does less work per step:
+ *
+ * - It trains a dim-major working copy of the weights, wt[k*n + i], copied
+ *   in on entry and back on exit, so the compiler vectorizes across nodes.
+ * - The neighbourhood factor depends only on the lattice offset, so
+ *   exp(-(dr^2 + dc^2) / (2 sigma^2)) is kept in a table indexed by
+ *   (|dr|, |dc|), filled when first needed and cleared whenever sigma
+ *   differs from the previous step's. Sigma holds at its end value through
+ *   the fine-tuning stage, so most steps call no exp at all.
+ * - A tiny factor that cannot change a node's weights is set to 0 before
+ *   the update, which avoids slow subnormal products; see
+ *   zero_negligible_factors() for why the weights come out the same.
+ * - Step t's update pass also sums each updated node's distance to step
+ *   t+1's stimulus, so the weights are read and written once per step.
+ *   The first search of a call runs on its own; the last step only updates.
+ *
+ * The results are still those of netsom._core_py's order of operations.
+ * Nodes are independent, so swapping the node and dimension loops changes
+ * no sum: each node still starts from 0.0 and adds (w - x)^2 in dimension
+ * order in its own accumulator, and the winner is still the first strict
+ * minimum. A table entry is the double the direct expression gives, h is
+ * still alpha times it, each component still gets w += h * (x - w), and
+ * the fused search reads the weight just stored.
  */
 #include <math.h>
+#include <stddef.h>
 #include <stdint.h>
 
 /* Index of the node nearest to x; its squared distance goes to *best_d2. */
@@ -42,27 +68,156 @@ void netsom_bmu_batch(const double *weights, int64_t n_nodes, int64_t dim,
     }
 }
 
+/* Squared distance of every node of the dim-major wt to x, into acc. */
+static void distances(const double *restrict wt, int64_t n, int64_t dim,
+                      const double *restrict x, double *restrict acc)
+{
+    for (int64_t i = 0; i < n; i++)
+        acc[i] = 0.0;
+    for (int64_t k = 0; k < dim; k++) {
+        const double *restrict row = wt + k * n;
+        const double xk = x[k];
+        for (int64_t i = 0; i < n; i++) {
+            double d = row[i] - xk;
+            acc[i] += d * d;
+        }
+    }
+}
+
+/* Index of the first strict minimum of acc, as nearest() picks it. */
+static int64_t first_min(const double *acc, int64_t n)
+{
+    int64_t best = 0;
+    double best_acc = acc[0];
+    for (int64_t i = 1; i < n; i++) {
+        if (acc[i] < best_acc) {
+            best_acc = acc[i];
+            best = i;
+        }
+    }
+    return best;
+}
+
+/* h[i] = alpha * exp(-|r_c - r_i|^2 / (2 sigma^2)) for every node i of a
+ * rows x cols lattice. table[|dr| * cols + |dc|] caches the exp for this
+ * sigma; a negative entry (exp never is) has not been computed yet. */
+static void gaussian_row(double *restrict h, int64_t rows, int64_t cols,
+                         int64_t c, double alpha, double sigma,
+                         double *restrict table)
+{
+    const int64_t c_row = c / cols;
+    const int64_t c_col = c % cols;
+    for (int64_t r = 0; r < rows; r++) {
+        const int64_t dr = r - c_row;
+        double *restrict g = table + (dr < 0 ? -dr : dr) * cols;
+        for (int64_t q = 0; q < cols; q++) {
+            const int64_t dc = q - c_col;
+            const int64_t key = dc < 0 ? -dc : dc;
+            if (g[key] < 0.0) {
+                double fr = (double)dr;
+                double fc = (double)dc;
+                double lat2 = fr * fr + fc * fc;
+                g[key] = exp(-lat2 / (2.0 * sigma * sigma));
+            }
+            h[r * cols + q] = alpha * g[key];
+        }
+    }
+}
+
+/* Set h[i] to 0 where h[i] < 2^-900 and that leaves the update of node i
+ * toward x with the same result. Far from the winner a factor can be
+ * subnormal, or small enough to make h * (x - w) subnormal, and the CPU
+ * takes far longer over subnormal numbers than normal ones; in a large map
+ * a ring of distant nodes gets such factors at every fine-tuning step.
+ * The update is unchanged, component by component, when either
+ * - x - w is a zero: h * (x - w) and 0 * (x - w) are then the same zero;
+ * - |w| >= 2^-200 and |x - w| <= 2^300: then |h * (x - w)| <= 2^-600, well
+ *   under half the spacing of doubles near w (at least 2^-254), so
+ *   w + h * (x - w) rounds to w, and so does w + 0 for w != 0.
+ * NaN and infinite components fail both tests, so such nodes keep h. */
+static void zero_negligible_factors(double *restrict h, const double *restrict wt,
+                                    int64_t n, int64_t dim,
+                                    const double *restrict x)
+{
+    for (int64_t i = 0; i < n; i++) {
+        if (!(h[i] > 0.0 && h[i] < 0x1p-900))
+            continue;
+        int64_t k = 0;
+        for (; k < dim; k++) {
+            const double w = wt[k * n + i];
+            const double d = x[k] - w;
+            if (!(d == 0.0 || (fabs(w) >= 0x1p-200 && fabs(d) <= 0x1p300)))
+                break;
+        }
+        if (k == dim)
+            h[i] = 0.0;
+    }
+}
+
+/* w += h * (x - w) for every node of the dim-major wt. Unless next is NULL,
+ * also sum each updated node's squared distance to next into acc. */
+static void update(double *restrict wt, int64_t n, int64_t dim,
+                   const double *restrict x, const double *restrict h,
+                   const double *restrict next, double *restrict acc)
+{
+    if (next == NULL) {
+        for (int64_t k = 0; k < dim; k++) {
+            double *restrict row = wt + k * n;
+            const double xk = x[k];
+            for (int64_t i = 0; i < n; i++)
+                row[i] += h[i] * (xk - row[i]);
+        }
+        return;
+    }
+    for (int64_t i = 0; i < n; i++)
+        acc[i] = 0.0;
+    for (int64_t k = 0; k < dim; k++) {
+        double *restrict row = wt + k * n;
+        const double xk = x[k];
+        const double nk = next[k];
+        for (int64_t i = 0; i < n; i++) {
+            double w = row[i];
+            w += h[i] * (xk - w);
+            row[i] = w;
+            double d = w - nk;
+            acc[i] += d * d;
+        }
+    }
+}
+
+/* One winner search and update per stimulus, on n_nodes weights of a lattice
+ * with cols columns (n_nodes a multiple of cols). scratch holds
+ * n_nodes * (dim + 3) doubles: the dim-major weights, the distances, the
+ * factors and the factor table. */
 void netsom_run_steps(double *weights, int64_t n_nodes, int64_t dim,
                       const double *xs, const int64_t *stimuli,
                       const double *alphas, const double *sigmas,
-                      int64_t n_steps, int64_t cols)
+                      int64_t n_steps, int64_t cols, double *scratch)
 {
+    if (n_steps == 0)
+        return;
+    const int64_t n = n_nodes;
+    double *wt = scratch;
+    double *acc = wt + n * dim;
+    double *h = acc + n;
+    double *table = h + n;
+    for (int64_t i = 0; i < n; i++)
+        for (int64_t k = 0; k < dim; k++)
+            wt[k * n + i] = weights[i * dim + k];
+
+    distances(wt, n, dim, xs + stimuli[0] * dim, acc);
     for (int64_t t = 0; t < n_steps; t++) {
+        if (t == 0 || sigmas[t] != sigmas[t - 1])
+            for (int64_t i = 0; i < n; i++)
+                table[i] = -1.0;
         const double *x = xs + stimuli[t] * dim;
-        double d2;
-        int64_t c = nearest(weights, n_nodes, dim, x, &d2);
-        double alpha = alphas[t];
-        double sigma = sigmas[t];
-        int64_t c_row = c / cols;
-        int64_t c_col = c % cols;
-        for (int64_t i = 0; i < n_nodes; i++) {
-            double dr = (double)(i / cols - c_row);
-            double dc = (double)(i % cols - c_col);
-            double lat2 = dr * dr + dc * dc;
-            double h = alpha * exp(-lat2 / (2.0 * sigma * sigma));
-            double *w = weights + i * dim;
-            for (int64_t k = 0; k < dim; k++)
-                w[k] += h * (x[k] - w[k]);
-        }
+        const double *next = t + 1 < n_steps ? xs + stimuli[t + 1] * dim : NULL;
+        gaussian_row(h, n / cols, cols, first_min(acc, n), alphas[t], sigmas[t], table);
+        zero_negligible_factors(h, wt, n, dim, x);
+        update(wt, n, dim, x, h, next, acc);
     }
+
+    for (int64_t i = 0; i < n; i++)
+        for (int64_t k = 0; k < dim; k++)
+            weights[i * dim + k] = wt[k * n + i];
 }

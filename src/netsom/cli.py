@@ -51,7 +51,14 @@ from netsom.dataio import (
     save_csv,
     split,
 )
-from netsom.mapfile import MAP_FORMAT_VERSION, load_map, save_map, write_atomic, write_text
+from netsom.mapfile import (
+    MAP_FORMAT_VERSION,
+    ArtifactSet,
+    load_map,
+    save_map,
+    write_atomic,
+    write_text,
+)
 from netsom.umatrix import EXPORT_FORMATS, compute_umatrix, export_umatrix
 
 _VERSION_TEXT = (
@@ -121,10 +128,14 @@ def run_train(args) -> int:
         seed=train_seed,
     )
 
-    _write_json(_normalizer_path(args.out, args.normalizer), normalizer_to_json_dict(model))
-    for path, part in held_out:
-        save_csv(part, path, label_column=args.label_column or "label")
-    save_map(trained, args.out)
+    # One set, map last: a failed write leaves the old map with its old
+    # normalizer, never one run's map beside another run's statistics.
+    with ArtifactSet() as artifacts:
+        _write_json(artifacts.file(_normalizer_path(args.out, args.normalizer)),
+                    normalizer_to_json_dict(model))
+        for path, part in held_out:
+            save_csv(part, artifacts.file(path), label_column=args.label_column or "label")
+        save_map(trained, artifacts.file(args.out))
 
     lines = [
         f"backend: {backend_name()}",

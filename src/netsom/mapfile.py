@@ -34,8 +34,9 @@ class MapFormatError(ValueError):
     """A map file is malformed, truncated, or of an unsupported version."""
 
 
-def save_map(som: SomMap, path) -> None:
-    """Write ``som`` to ``path`` atomically (no partial file on failure)."""
+def save_map(som: SomMap, destination) -> None:
+    """Write ``som`` to a binary file object, or atomically to a path (no
+    partial file on failure)."""
     payload = _HEADER.pack(
         MAGIC,
         MAP_FORMAT_VERSION,
@@ -45,7 +46,10 @@ def save_map(som: SomMap, path) -> None:
         som.seed,
         som.steps_trained,
     ) + som.weights.astype("<f8", copy=False).tobytes()
-    write_atomic(path, payload)
+    if hasattr(destination, "write"):
+        destination.write(payload)
+    else:
+        write_atomic(destination, payload)
 
 
 def load_map(path) -> SomMap:
@@ -82,24 +86,10 @@ def load_map(path) -> SomMap:
 def write_atomic(path, payload: bytes) -> None:
     """Write bytes via a temp file and rename, so readers never see partials.
 
-    The temp file gets a random name in the target's directory, so concurrent
-    writers of one path never share it and the last rename wins. It is
-    synced to disk before the rename, so a crash cannot leave a renamed but
-    empty file. Like a plain write, it is created with mode 0o666 less the
-    umask (``tempfile.mkstemp`` would make it 0o600).
+    See :class:`ArtifactSet`, which this uses for a set of one file.
     """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
-    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
-    fd = os.open(tmp, flags, 0o666)
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(payload)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    with ArtifactSet() as files:
+        files.stage(path, payload)
 
 
 def write_text(destination, text: str) -> None:
@@ -108,3 +98,59 @@ def write_text(destination, text: str) -> None:
         destination.write(text)
     else:
         write_atomic(destination, text.encode("utf-8"))
+
+
+class ArtifactSet:
+    """Files replaced together: each is staged under a temp name and synced,
+    and only when the ``with`` block ends without an error are they renamed
+    into place, in the order they were staged. If the block raises, no
+    target is touched; either way no temp file is left behind. Stage last
+    the file that readers look for first.
+
+    A temp file gets a random name in its target's directory, so concurrent
+    writers of one path never share it and the last rename wins. It is
+    synced to disk before the rename, so a crash cannot leave a renamed but
+    empty file. Like a plain write, it is created with mode 0o666 less the
+    umask (``tempfile.mkstemp`` would make it 0o600).
+    """
+
+    def __init__(self) -> None:
+        self._staged: list[tuple[Path, Path]] = []
+
+    def __enter__(self) -> ArtifactSet:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            if exc_type is None:
+                for tmp, path in self._staged:
+                    os.replace(tmp, path)
+        finally:
+            for tmp, _ in self._staged:
+                tmp.unlink(missing_ok=True)
+
+    def stage(self, path, payload: bytes) -> None:
+        """Write ``payload`` to a synced temp file that will replace ``path``."""
+        path = Path(path)
+        tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+        flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+        fd = os.open(tmp, flags, 0o666)
+        self._staged.append((tmp, path))
+        with os.fdopen(fd, "wb") as f:
+            f.write(payload)
+            f.flush()
+            os.fsync(f.fileno())
+
+    def file(self, path) -> _StagedFile:
+        """A destination for ``save_map``, ``save_csv`` and ``write_text``
+        whose one write stages the whole of ``path``."""
+        return _StagedFile(self, path)
+
+
+class _StagedFile:
+    def __init__(self, files: ArtifactSet, path) -> None:
+        self._files = files
+        self._path = path
+
+    def write(self, data) -> None:
+        self._files.stage(self._path, data.encode("utf-8") if isinstance(data, str) else data)

@@ -12,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import oracle_adapt, oracle_bmu
 from netsom import _core_c, _core_py
 from netsom.core import SomMap, TrainingSchedule, _schedule_arrays, adapt, find_bmu
 from netsom.grid import GridShape
@@ -137,6 +138,86 @@ class TestRunStepsParity:
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
+def oracle_steps(weights, xs, stimuli, alphas, sigmas, cols) -> np.ndarray:
+    """``weights`` after a chain of oracle winner searches and updates."""
+    w = weights.tolist()
+    for s, alpha, sigma in zip(stimuli.tolist(), alphas.tolist(), sigmas.tolist()):
+        x = xs[s].tolist()
+        c, _ = oracle_bmu(w, x)
+        w = oracle_adapt(w, x, c, alpha, sigma, cols)
+    return np.array(w, dtype=np.float64).reshape(weights.shape)
+
+
+def assert_same_bits(got, expected):
+    """Equal as bit patterns, so -0.0 differs from 0.0."""
+    np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def oracle_case(rows, cols, dim=3, total_steps=60, seed=5):
+    """(start weights, data, stimuli, alphas, sigmas) of a short schedule that
+    crosses from the ordering stage, where sigma changes at every step, to the
+    fine-tuning stage, where it repeats."""
+    rng = np.random.default_rng(seed)
+    start = np.ascontiguousarray(rng.uniform(0, 1, size=(rows * cols, dim)))
+    data = np.ascontiguousarray(rng.uniform(0, 1, size=(30, dim)))
+    schedule = TrainingSchedule(
+        total_steps=total_steps, ordering_steps=total_steps // 3,
+        sigma_start=max(rows, cols, 2) / 2.0,
+    )
+    alphas, sigmas = _schedule_arrays(schedule)
+    stimuli = rng.integers(0, 30, size=total_steps).astype(np.int64)
+    return start, data, stimuli, alphas, sigmas
+
+
+class TestRunStepsMatchesOracle:
+    """The compiled step loop, bit for bit, against the scalar oracle's
+    search-then-update chain. Both call the same libm exp."""
+
+    @pytest.mark.parametrize("rows, cols", [(5, 3), (3, 5), (1, 7), (7, 1), (4, 4)])
+    def test_lattice_shapes(self, compiled, rows, cols):
+        start, data, stimuli, alphas, sigmas = oracle_case(rows, cols)
+        got = start.copy()
+        compiled.run_steps(got, data, stimuli, alphas, sigmas, cols)
+        assert_same_bits(got, oracle_steps(start, data, stimuli, alphas, sigmas, cols))
+
+    @pytest.mark.parametrize("bounds", [(0, 10, 40, 60), (0, 19, 21, 60), (0, 1, 2, 60)])
+    def test_calls_split_around_the_stage_boundary(self, compiled, bounds):
+        start, data, stimuli, alphas, sigmas = oracle_case(5, 3)
+        got = start.copy()
+        for lo, hi in zip(bounds, bounds[1:]):
+            compiled.run_steps(got, data, stimuli[lo:hi], alphas[lo:hi], sigmas[lo:hi], 3)
+        assert_same_bits(got, oracle_steps(start, data, stimuli, alphas, sigmas, 3))
+
+    @pytest.mark.parametrize("n_steps", [0, 1])
+    def test_zero_and_one_step_calls(self, compiled, n_steps):
+        start, data, stimuli, alphas, sigmas = oracle_case(3, 5)
+        args = (data, stimuli[:n_steps], alphas[:n_steps], sigmas[:n_steps], 5)
+        got = start.copy()
+        compiled.run_steps(got, *args)
+        assert_same_bits(got, oracle_steps(start, *args))
+
+    @pytest.mark.parametrize("kind", ["tiny_weights", "zero_weights", "huge_data", "signed_zeros"])
+    def test_factors_below_the_negligible_cutoff(self, compiled, kind):
+        # With sigma 0.08, nodes 3 lattice units from the winner get factors
+        # near 1e-306, below the kernel's 2^-900 cutoff; nodes further away
+        # get 0. Only updates too small to change a weight may be dropped.
+        start, data, stimuli, alphas, _ = oracle_case(5, 3, total_steps=40)
+        sigmas = np.full(40, 0.08)
+        rng = np.random.default_rng(6)
+        if kind == "tiny_weights":
+            start = 2.0 ** rng.uniform(-1070, -950, size=start.shape)
+        elif kind == "zero_weights":
+            start = np.where(rng.random(start.shape) < 0.5, 0.0, -0.0)
+        elif kind == "huge_data":
+            data = data * 1e300
+        elif kind == "signed_zeros":
+            data[:, 0] = 0.0
+            start[:, 0] = np.where(rng.random(start.shape[0]) < 0.5, 0.0, -0.0)
+        got = start.copy()
+        compiled.run_steps(got, data, stimuli, alphas, sigmas, 3)
+        assert_same_bits(got, oracle_steps(start, data, stimuli, alphas, sigmas, 3))
+
+
 def steps_args(**changes):
     """Valid run_steps arguments (3 nodes in one row, 2 dims, 4 steps), with
     some replaced."""
@@ -204,6 +285,10 @@ class TestCompiledRejectsBadInput:
     def test_cols_below_one(self, compiled):
         with pytest.raises(ValueError, match="cols"):
             compiled.run_steps(**steps_args(cols=0))
+
+    def test_nodes_not_a_multiple_of_cols(self, compiled):
+        with pytest.raises(ValueError, match="3 nodes do not fill a lattice with 2 columns"):
+            compiled.run_steps(**steps_args(cols=2))
 
 
 class TestBackendSelection:

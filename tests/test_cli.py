@@ -132,6 +132,36 @@ class TestTrainCommand:
             tmp_path / "b.som.calibration.csv"
         ).read_bytes()
 
+    @pytest.mark.parametrize("failing_call", [1, 2, 4])
+    def test_failed_write_keeps_the_old_artifact_set(
+        self, tmp_path, normal_cluster, capsys, monkeypatch, failing_call
+    ):
+        # Four files: normalizer, calibration CSV, test CSV, then the map.
+        out = tmp_path / "map.som"
+        assert main(quick_train_args(normal_cluster, out, **{"--split": "0.6,0.2,0.2"})) == 0
+        old = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.name.startswith("map.som")}
+        assert len(old) == 4
+        capsys.readouterr()
+
+        real_fsync = os.fsync
+        calls = []
+
+        def fsync_failing_once(fd):
+            calls.append(fd)
+            if len(calls) == failing_call:
+                raise OSError("disk full")
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync_failing_once)
+        rc = main(quick_train_args(normal_cluster, out, **{
+            "--split": "0.6,0.2,0.2", "--normalize": "zscore", "--seed": "7",
+        }))
+        assert rc == 1
+        assert "error: disk full" in capsys.readouterr().err
+        now = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.name.startswith("map.som")}
+        assert now == old
+        assert not any(p.name.endswith(".tmp") for p in tmp_path.iterdir())
+
 
 class TestUmatrixCommand:
     def test_grid_csv_matches_library(self, tmp_path, normal_cluster):

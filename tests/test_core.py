@@ -14,6 +14,7 @@ from conftest import (
     oracle_kernel,
     oracle_qe,
 )
+from netsom import _backend
 from netsom.core import (
     SomMap,
     TrainingSchedule,
@@ -377,6 +378,21 @@ class TestTrain:
         )
         assert report.steps == 50
         assert trained.steps_trained == 50
+
+    def test_qe_sampling_does_not_change_the_compiled_map(self, compiled, monkeypatch):
+        # Sampling splits the steps into one kernel call per interval, and
+        # each call starts with its own winner search.
+        monkeypatch.setattr(_backend, "run_steps", compiled.run_steps)
+        monkeypatch.setattr(_backend, "bmu_batch", compiled.bmu_batch)
+        data = four_cluster_data(per_cluster=25)
+        som = initialize(GridShape(5, 4), 2, bounds_of(data), seed=3)
+        schedule = TrainingSchedule(total_steps=300, ordering_steps=100, sigma_start=2.5)
+        maps = [
+            train(som, data, schedule, qe_sample_every=every, seed=8)[0].weights
+            for every in (1, 7, None)
+        ]
+        for weights in maps[1:]:
+            np.testing.assert_array_equal(weights.view(np.uint64), maps[0].view(np.uint64))
 
     def test_threshold_requires_sampling_interval(self):
         som = initialize(GridShape(2, 2), 1, [(0.0, 1.0)], seed=1)
