@@ -6,8 +6,15 @@
  * -ffp-contract=off: fused multiply-adds would round differently from the
  * pure backend. The caller validates shapes, dtypes and indices.
  *
- * netsom_bmu_batch searches the row-major weights as given. netsom_run_steps
- * does less work per step:
+ * netsom_bmu_batch searches a single row in the row-major weights as given,
+ * so a one-vector search copies nothing. For more rows it first copies the
+ * weights once into dim-major order, wt[k*n + i], in the caller's scratch,
+ * then searches each row with distances() and first_min(), the loop
+ * netsom_run_steps uses. The kernel starts no threads: netsom._core_c splits
+ * a large batch into contiguous row blocks and runs one call per block, each
+ * with its own scratch, on threads of its own.
+ *
+ * netsom_run_steps does less work per step:
  *
  * - It trains a dim-major working copy of the weights, wt[k*n + i], copied
  *   in on entry and back on exit, so the compiler vectorizes across nodes.
@@ -35,6 +42,16 @@
 #include <stddef.h>
 #include <stdint.h>
 
+/* Version of the exported functions' argument lists. netsom._core_c refuses
+ * a library whose number differs, such as one left over from an older
+ * source after a failed rebuild. Bump it whenever a signature changes. */
+#define NETSOM_ABI 2
+
+int64_t netsom_abi(void)
+{
+    return NETSOM_ABI;
+}
+
 /* Index of the node nearest to x; its squared distance goes to *best_d2. */
 static int64_t nearest(const double *weights, int64_t n_nodes, int64_t dim,
                        const double *x, double *best_d2)
@@ -57,15 +74,13 @@ static int64_t nearest(const double *weights, int64_t n_nodes, int64_t dim,
     return best;
 }
 
-void netsom_bmu_batch(const double *weights, int64_t n_nodes, int64_t dim,
-                      const double *xs, int64_t n_inputs,
-                      int64_t *idx, double *dist)
+/* The row-major n x dim weights, copied into dim-major wt[k*n + i]. */
+static void to_dim_major(const double *restrict weights, int64_t n, int64_t dim,
+                         double *restrict wt)
 {
-    for (int64_t j = 0; j < n_inputs; j++) {
-        double d2;
-        idx[j] = nearest(weights, n_nodes, dim, xs + j * dim, &d2);
-        dist[j] = sqrt(d2);
-    }
+    for (int64_t i = 0; i < n; i++)
+        for (int64_t k = 0; k < dim; k++)
+            wt[k * n + i] = weights[i * dim + k];
 }
 
 /* Squared distance of every node of the dim-major wt to x, into acc. */
@@ -96,6 +111,34 @@ static int64_t first_min(const double *acc, int64_t n)
         }
     }
     return best;
+}
+
+/* Winner index and distance of each of the n_inputs rows of xs. A call with
+ * more than one row needs scratch for n_nodes * (dim + 1) doubles: the
+ * dim-major weights and the distances. A single row is searched in the
+ * row-major weights and needs none. */
+void netsom_bmu_batch(const double *weights, int64_t n_nodes, int64_t dim,
+                      const double *xs, int64_t n_inputs,
+                      int64_t *idx, double *dist, double *scratch)
+{
+    if (n_inputs > 1) {
+        const int64_t n = n_nodes;
+        double *wt = scratch;
+        double *acc = wt + n * dim;
+        to_dim_major(weights, n, dim, wt);
+        for (int64_t j = 0; j < n_inputs; j++) {
+            distances(wt, n, dim, xs + j * dim, acc);
+            const int64_t best = first_min(acc, n);
+            idx[j] = best;
+            dist[j] = sqrt(acc[best]);
+        }
+        return;
+    }
+    for (int64_t j = 0; j < n_inputs; j++) {
+        double d2;
+        idx[j] = nearest(weights, n_nodes, dim, xs + j * dim, &d2);
+        dist[j] = sqrt(d2);
+    }
 }
 
 /* h[i] = alpha * exp(-|r_c - r_i|^2 / (2 sigma^2)) for every node i of a
@@ -201,9 +244,7 @@ void netsom_run_steps(double *weights, int64_t n_nodes, int64_t dim,
     double *acc = wt + n * dim;
     double *h = acc + n;
     double *table = h + n;
-    for (int64_t i = 0; i < n; i++)
-        for (int64_t k = 0; k < dim; k++)
-            wt[k * n + i] = weights[i * dim + k];
+    to_dim_major(weights, n, dim, wt);
 
     distances(wt, n, dim, xs + stimuli[0] * dim, acc);
     for (int64_t t = 0; t < n_steps; t++) {

@@ -174,6 +174,14 @@ def initialize(shape: GridShape, dim: int, data_bounds, seed: int) -> SomMap:
     bad = np.nonzero(lo > hi)[0]
     if bad.size:
         raise ValueError(f"min > max in dimension {int(bad[0])}")
+    with np.errstate(over="ignore"):
+        bad = np.nonzero(~np.isfinite(hi - lo))[0]
+    if bad.size:
+        d = int(bad[0])
+        raise ValueError(
+            f"range of dimension {d} overflows: max - min is not finite "
+            f"(min {float(lo[d])!r}, max {float(hi[d])!r})"
+        )
     if not 0 <= seed < _MAX_SEED:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
     rng = np.random.default_rng(seed)

@@ -63,10 +63,10 @@ def bounds_of(data: np.ndarray) -> np.ndarray:
 
 
 @pytest.fixture(scope="session")
-def compiled(tmp_path_factory):
-    """The C kernel compiled from source into a temp directory and bound
-    through ctypes, so parity tests run whether or not the package's own
-    extension was built. Skips only when there is no C compiler."""
+def kernel_library(tmp_path_factory):
+    """Path of the C kernel compiled from source into a temp directory, so
+    parity tests run whether or not the package's own extension was built.
+    Skips only when there is no C compiler."""
     cc = shutil.which("cc")
     if cc is None:
         pytest.skip("no C compiler (cc) to build the kernel")
@@ -76,7 +76,13 @@ def compiled(tmp_path_factory):
          "-o", str(lib), "-lm"],
         check=True,
     )
-    return _core_c.Kernel(lib)
+    return lib
+
+
+@pytest.fixture(scope="session")
+def compiled(kernel_library):
+    """The kernel of :func:`kernel_library`, bound through ctypes."""
+    return _core_c.Kernel(kernel_library)
 
 
 # ----------------------------------------------------------------- oracles

@@ -6,14 +6,16 @@ exists, whether or not the package's own extension was built.
 """
 
 import os
+import shutil
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 from conftest import oracle_adapt, oracle_bmu
-from netsom import _core_c, _core_py
+from netsom import _backend, _core_c, _core_py
 from netsom.core import SomMap, TrainingSchedule, _schedule_arrays, adapt, find_bmu
 from netsom.grid import GridShape
 
@@ -74,6 +76,168 @@ class TestBmuParity:
             idx, dist = impl.bmu_batch(weights, xs)
             assert idx[0] == 0
             assert dist[0] == 0.0
+
+
+def assert_search_bit_equal(kernel, weights, xs):
+    """``kernel.bmu_batch`` gives _core_py's winners and distances, bit for bit."""
+    i_py, d_py = _core_py.bmu_batch(weights, xs)
+    i_c, d_c = kernel.bmu_batch(weights, xs)
+    np.testing.assert_array_equal(i_c, i_py)
+    np.testing.assert_array_equal(d_c.view(np.uint64), d_py.view(np.uint64))
+
+
+@pytest.fixture(params=[2, 3, 8])
+def split(request, monkeypatch):
+    """Split every search of two or more rows into row blocks, one per
+    ``param`` CPUs (possibly more than there are) and at most one per row."""
+    monkeypatch.setattr(_core_c, "PARALLEL_MIN_TERMS", 1)
+    monkeypatch.setattr(_core_c, "_usable_cpus", lambda: request.param)
+    return request.param
+
+
+class TestParallelBmuParity:
+    """A batch split across threads gives the single-thread winners."""
+
+    def test_exact_ties_straddling_block_boundaries(self, compiled, split):
+        # Nodes 0 and 2 coincide, as do nodes 1 and 3, so every row ties.
+        weights = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
+        xs = np.array([[1.0, 1.0], [0.5, 0.5], [0.0, 0.0]] * 4)
+        assert len(_core_c._row_blocks(len(xs), weights.size)) == split
+        assert_search_bit_equal(compiled, weights, xs)
+        assert compiled.bmu_batch(weights, xs)[0].tolist() == [1, 0, 0] * 4
+
+    def test_random_ties_on_small_integers(self, compiled, split):
+        for weights, xs in bmu_cases("exact_ties") + bmu_cases("duplicate_nodes"):
+            assert_search_bit_equal(compiled, weights, xs)
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 2])
+    def test_zero_one_and_two_rows(self, compiled, split, n_rows):
+        weights, xs = random_case(np.random.default_rng(7), n_inputs=n_rows)
+        assert_search_bit_equal(compiled, weights, xs)
+
+    def test_one_node_map(self, compiled, split):
+        weights, xs = random_case(np.random.default_rng(8), n_nodes=1, n_inputs=9)
+        assert_search_bit_equal(compiled, weights, xs)
+
+    def test_rows_not_divisible_by_workers(self, compiled, split):
+        n_rows = 7 * split + 1
+        blocks = _core_c._row_blocks(n_rows, 48 * 7)
+        assert len(blocks) == split
+        assert blocks[0][0] == 0 and blocks[-1][1] == n_rows
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        weights, xs = random_case(np.random.default_rng(9), n_inputs=n_rows)
+        assert_search_bit_equal(compiled, weights, xs)
+
+    def test_40x40_map_with_41_features(self, compiled, split):
+        rng = np.random.default_rng(10)
+        weights = rng.uniform(0, 1, size=(1600, 41))
+        xs = rng.uniform(0, 1, size=(23, 41))
+        xs[:5] = weights[[3, 1599, 0, 800, 3]]
+        assert_search_bit_equal(compiled, weights, xs)
+
+    def test_default_split_keeps_small_batches_whole(self, monkeypatch):
+        monkeypatch.setattr(_core_c, "_usable_cpus", lambda: 4)
+        per_block = _core_c.PARALLEL_MIN_TERMS
+        assert _core_c._row_blocks(1, 10 * per_block) == [(0, 1)]
+        assert _core_c._row_blocks(1000, (2 * per_block - 1) // 1000) == [(0, 1000)]
+        assert len(_core_c._row_blocks(1000, 2 * per_block // 1000)) == 2
+        assert len(_core_c._row_blocks(1000, 100 * per_block)) == 4
+
+    def test_one_cpu_starts_no_thread(self, compiled, monkeypatch):
+        class NoThread:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(_core_c, "PARALLEL_MIN_TERMS", 1)
+        monkeypatch.setattr(threading, "Thread", NoThread)
+        weights, xs = random_case(np.random.default_rng(11))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        with pytest.raises(AssertionError, match="a thread was started"):
+            compiled.bmu_batch(weights, xs)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert_search_bit_equal(compiled, weights, xs)
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert _core_c._usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _core_c._usable_cpus() == 1
+
+    def test_workers_go_to_the_other_cpus(self, compiled, monkeypatch):
+        monkeypatch.setattr(compiled, "_getcpu", lambda: 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert compiled._worker_cpus(2) == [0, 2]
+        assert compiled._worker_cpus(3) == [0, 2, None]
+        monkeypatch.setattr(compiled, "_getcpu", None)
+        assert compiled._worker_cpus(2) == [None, None]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no thread affinity")
+    def test_worker_moves_to_its_cpu(self):
+        cpu = min(os.sched_getaffinity(0))
+        seen = []
+        worker = threading.Thread(target=_core_c._search_on,
+                                  args=(cpu, lambda: seen.append(os.sched_getaffinity(0)), ()))
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert seen == [{cpu}]
+
+    def test_search_runs_where_the_move_fails(self, monkeypatch):
+        def refuse(pid, cpus):
+            raise OSError("no such CPU")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+        ran = []
+        _core_c._search_on(12345, lambda *args: ran.append(args), (1, 2))
+        assert ran == [(1, 2)]
+
+
+def stub_library(tmp_path, source):
+    """A shared library compiled from C ``source`` with cc."""
+    src = tmp_path / "stub.c"
+    src.write_text("#include <stdint.h>\n" + source)
+    lib = tmp_path / "stub.so"
+    subprocess.run([shutil.which("cc"), "-shared", "-fPIC", str(src), "-o", str(lib)], check=True)
+    return lib
+
+
+NO_ABI = "void netsom_bmu_batch(void) {}\nvoid netsom_run_steps(void) {}\n"
+OLD_ABI = "int64_t netsom_abi(void) { return 1; }\n" + NO_ABI
+
+
+class TestStaleLibrary:
+    """A kernel library built from another _kernel.c, such as one left behind
+    by a failed rebuild, is refused instead of called with the wrong
+    arguments. (``kernel_library`` skips these where there is no cc.)"""
+
+    @pytest.mark.parametrize("source, message", [(NO_ABI, "no netsom_abi"),
+                                                 (OLD_ABI, "ABI 1, not 2")])
+    def test_kernel_refuses_it(self, kernel_library, tmp_path, source, message):
+        with pytest.raises(ImportError, match=message):
+            _core_c.Kernel(stub_library(tmp_path, source))
+
+    def test_kernel_refuses_a_file_that_is_no_library(self, tmp_path):
+        path = tmp_path / "_kernel.so"
+        path.write_text("not a library")
+        with pytest.raises(ImportError, match="cannot load"):
+            _core_c.Kernel(path)
+
+    def test_backend_falls_back_to_numpy(self, kernel_library, tmp_path):
+        assert _backend._load("", stub_library(tmp_path, OLD_ABI)) is _core_py
+        assert _backend._load("", None) is _core_py
+
+    def test_forced_compiled_backend_asks_for_a_rebuild(self, kernel_library, tmp_path):
+        stub = stub_library(tmp_path, OLD_ABI)
+        with pytest.raises(ImportError, match=r"NETSOM_BACKEND=compiled but .*ABI 1.*rebuild"):
+            _backend._load("compiled", stub)
+        with pytest.raises(ImportError, match="not built.*rebuild"):
+            _backend._load("compiled", None)
+
+    def test_current_kernel_is_bound(self, kernel_library):
+        assert isinstance(_backend._load("", kernel_library), _core_c.Kernel)
+        assert isinstance(_backend._load("compiled", kernel_library), _core_c.Kernel)
+        assert _backend._load("python", kernel_library) is _core_py
 
 
 def steps_case(kind, rng, shape, n_data=120):

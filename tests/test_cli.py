@@ -97,6 +97,17 @@ class TestTrainCommand:
         assert main(["train", "--input", str(bad), "--out", str(out)]) != 0
         assert not out.exists()
 
+    def test_data_range_that_overflows_is_an_error(self, tmp_path, capsys):
+        data = np.tile([[1.7e308, 0.0], [-1.7e308, 1.0]], (25, 1))
+        csv_path = write_csv(tmp_path / "huge.csv", data, header=["f0", "f1"])
+        out = tmp_path / "m.som"
+        argv = quick_train_args(csv_path, out, **{"--rows": "3", "--cols": "3",
+                                                  "--normalize": "none"})
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: range of dimension 0 overflows")
+        assert not out.exists()
+
     def test_report_file(self, tmp_path, normal_cluster, capsys):
         out = tmp_path / "map.som"
         report = tmp_path / "report.txt"

@@ -62,6 +62,11 @@ class TestInitialize:
         with pytest.raises(ValueError, match="min > max"):
             initialize(GridShape(2, 2), 2, [(0.0, 1.0), (2.0, 1.0)], seed=1)
 
+    def test_range_that_overflows_rejected(self):
+        # max - min of finite bounds can still overflow to inf.
+        with pytest.raises(ValueError, match="range of dimension 1 overflows"):
+            initialize(GridShape(3, 3), 2, [(0.0, 1.0), (-1.7e308, 1.7e308)], seed=1)
+
     def test_per_dimension_bounds_respected(self):
         som = initialize(GridShape(4, 4), 2, [(0.0, 1.0), (100.0, 200.0)], seed=3)
         assert np.all(som.weights[:, 0] <= 1.0)
