@@ -7,10 +7,12 @@ the kernel into this package directory; :func:`built_library` finds it and
 The kernel trusts its pointers, so every array is checked here first: a bad
 argument raises instead of reading or writing arbitrary memory.
 
-A large :meth:`Kernel.bmu_batch` runs on several threads, one contiguous
-block of rows each. ctypes releases the GIL for the length of a kernel call,
-so the blocks run at once, and each worker thread first moves itself off the
-calling thread's CPU (see :meth:`Kernel._worker_cpus`).
+Every :meth:`Kernel.bmu_batch` call, a single row too, copies the weights
+into dim-major scratch and searches each row against that copy. A large one
+runs on several threads, one contiguous block of rows each. ctypes releases
+the GIL for the length of a kernel call, so the blocks run at once, and each
+worker thread first moves itself off the calling thread's CPU (see
+:meth:`Kernel._worker_cpus`).
 """
 
 from __future__ import annotations
@@ -87,27 +89,22 @@ class Kernel:
         n_nodes, dim, n_inputs = _search_shape(weights, xs)
         idx = np.empty(n_inputs, dtype=np.int64)
         dist = np.empty(n_inputs, dtype=np.float64)
-        blocks = _row_blocks(n_inputs, n_nodes * dim)
-        if len(blocks) == 1:
-            # Dim-major weights and distances; a single row needs none.
-            scratch = np.empty(n_nodes * (dim + 1)) if n_inputs > 1 else None
-            self._bmu(weights.ctypes.data, n_nodes, dim, xs.ctypes.data, n_inputs,
-                      idx.ctypes.data, dist.ctypes.data, _address(scratch))
-        else:
-            self._search_blocks(weights, xs, idx, dist, blocks)
+        self._search_blocks(weights, xs, idx, dist, _row_blocks(n_inputs, n_nodes * dim))
         return idx, dist
 
     def _search_blocks(self, weights, xs, idx, dist, blocks) -> None:
         """Search each (start, stop) block of rows of ``xs`` with its own
         kernel call and scratch: the first on this thread, each other one on a
-        thread of its own. Returns when all are done."""
+        thread of its own, so a single block starts no thread. Returns when
+        all are done."""
         n_nodes, dim = weights.shape
         w, x, i, d = weights.ctypes.data, xs.ctypes.data, idx.ctypes.data, dist.ctypes.data
-        # Allocated here, so that a failure raises here. They and the arrays
-        # outlive every thread, so the pointers stay valid.
-        scratch = [np.empty(n_nodes * (dim + 1)) if hi - lo > 1 else None for lo, hi in blocks]
+        # Dim-major weights and distances for each block. Allocated here, so
+        # that a failure raises here. They and the arrays outlive every
+        # thread, so the pointers stay valid.
+        scratch = [np.empty(n_nodes * (dim + 1)) for _ in blocks]
         calls = [(w, n_nodes, dim, x + xs.strides[0] * lo, hi - lo, i + idx.strides[0] * lo,
-                  d + dist.strides[0] * lo, _address(block_scratch))
+                  d + dist.strides[0] * lo, block_scratch.ctypes.data)
                  for (lo, hi), block_scratch in zip(blocks, scratch)]
         threads = [threading.Thread(target=_search_on, args=(cpu, self._bmu, args))
                    for cpu, args in zip(self._worker_cpus(len(calls) - 1), calls[1:])]
@@ -128,7 +125,7 @@ class Kernel:
         A new thread starts on its creator's CPU. Where the scheduler does not
         balance load, as in a cpuset with sched_load_balance off, it stays
         there, and the blocks would run one after another."""
-        if self._getcpu is None:
+        if n_workers == 0 or self._getcpu is None:
             return [None] * n_workers
         here = self._getcpu()
         others = [cpu for cpu in sorted(os.sched_getaffinity(0)) if cpu != here]
@@ -162,11 +159,6 @@ class Kernel:
         scratch = np.empty(n_nodes * (dim + 3), dtype=np.float64)
         self._steps(weights.ctypes.data, n_nodes, dim, xs.ctypes.data, stimuli.ctypes.data,
                     alphas.ctypes.data, sigmas.ctypes.data, n_steps, cols, scratch.ctypes.data)
-
-
-def _address(a: np.ndarray | None) -> int | None:
-    """Address of the data of ``a``; None, the C null pointer, for None."""
-    return None if a is None else a.ctypes.data
 
 
 def _bind_sched_getcpu():

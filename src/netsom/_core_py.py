@@ -76,9 +76,11 @@ def pull(
 
 def sq_norms(diff: np.ndarray) -> np.ndarray:
     """Squared length of each vector along the last axis of ``diff``, summed
-    one dimension at a time in the compiled kernel's order."""
-    sq = diff * diff
-    d2 = sq[..., 0].copy()
-    for k in range(1, diff.shape[-1]):
-        d2 += sq[..., k]
+    one dimension at a time in the compiled kernel's order. A square or sum
+    beyond the float64 range is inf, silently, as in the compiled kernel."""
+    with np.errstate(over="ignore"):
+        sq = diff * diff
+        d2 = sq[..., 0].copy()
+        for k in range(1, diff.shape[-1]):
+            d2 += sq[..., k]
     return d2

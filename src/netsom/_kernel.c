@@ -6,13 +6,11 @@
  * -ffp-contract=off: fused multiply-adds would round differently from the
  * pure backend. The caller validates shapes, dtypes and indices.
  *
- * netsom_bmu_batch searches a single row in the row-major weights as given,
- * so a one-vector search copies nothing. For more rows it first copies the
- * weights once into dim-major order, wt[k*n + i], in the caller's scratch,
- * then searches each row with distances() and first_min(), the loop
- * netsom_run_steps uses. The kernel starts no threads: netsom._core_c splits
- * a large batch into contiguous row blocks and runs one call per block, each
- * with its own scratch, on threads of its own.
+ * netsom_bmu_batch first copies the weights into dim-major order, wt[k*n + i],
+ * in the caller's scratch, then searches each row with distances() and
+ * first_min(), the loop netsom_run_steps uses. The kernel starts no threads:
+ * netsom._core_c splits a large batch into contiguous row blocks and runs one
+ * call per block, each with its own scratch, on threads of its own.
  *
  * netsom_run_steps does less work per step:
  *
@@ -28,7 +26,8 @@
  *   zero_negligible_factors() for why the weights come out the same.
  * - Step t's update pass also sums each updated node's distance to step
  *   t+1's stimulus, so the weights are read and written once per step.
- *   The first search of a call runs on its own; the last step only updates.
+ *   The first search of a call runs on its own; the last step searches its
+ *   own stimulus again and discards the distances.
  *
  * The results are still those of netsom._core_py's order of operations.
  * Nodes are independent, so swapping the node and dimension loops changes
@@ -39,7 +38,6 @@
  * the fused search reads the weight just stored.
  */
 #include <math.h>
-#include <stddef.h>
 #include <stdint.h>
 
 /* Version of the exported functions' argument lists. netsom._core_c refuses
@@ -52,35 +50,13 @@ int64_t netsom_abi(void)
     return NETSOM_ABI;
 }
 
-/* Index of the node nearest to x; its squared distance goes to *best_d2. */
-static int64_t nearest(const double *weights, int64_t n_nodes, int64_t dim,
-                       const double *x, double *best_d2)
+/* b[j*rows + i] = a[i*cols + j]: the rows x cols matrix a, transposed into b. */
+static void transpose(const double *restrict a, int64_t rows, int64_t cols,
+                      double *restrict b)
 {
-    int64_t best = 0;
-    double best_acc = 0.0;
-    for (int64_t i = 0; i < n_nodes; i++) {
-        const double *w = weights + i * dim;
-        double acc = 0.0;
-        for (int64_t k = 0; k < dim; k++) {
-            double d = w[k] - x[k];
-            acc += d * d;
-        }
-        if (i == 0 || acc < best_acc) {
-            best_acc = acc;
-            best = i;
-        }
-    }
-    *best_d2 = best_acc;
-    return best;
-}
-
-/* The row-major n x dim weights, copied into dim-major wt[k*n + i]. */
-static void to_dim_major(const double *restrict weights, int64_t n, int64_t dim,
-                         double *restrict wt)
-{
-    for (int64_t i = 0; i < n; i++)
-        for (int64_t k = 0; k < dim; k++)
-            wt[k * n + i] = weights[i * dim + k];
+    for (int64_t i = 0; i < rows; i++)
+        for (int64_t j = 0; j < cols; j++)
+            b[j * rows + i] = a[i * cols + j];
 }
 
 /* Squared distance of every node of the dim-major wt to x, into acc. */
@@ -99,7 +75,7 @@ static void distances(const double *restrict wt, int64_t n, int64_t dim,
     }
 }
 
-/* Index of the first strict minimum of acc, as nearest() picks it. */
+/* Index of the first strict minimum of acc: ties go to the lowest index. */
 static int64_t first_min(const double *acc, int64_t n)
 {
     int64_t best = 0;
@@ -113,31 +89,21 @@ static int64_t first_min(const double *acc, int64_t n)
     return best;
 }
 
-/* Winner index and distance of each of the n_inputs rows of xs. A call with
- * more than one row needs scratch for n_nodes * (dim + 1) doubles: the
- * dim-major weights and the distances. A single row is searched in the
- * row-major weights and needs none. */
+/* Winner index and distance of each of the n_inputs rows of xs. scratch holds
+ * n_nodes * (dim + 1) doubles: the dim-major weights and the distances. */
 void netsom_bmu_batch(const double *weights, int64_t n_nodes, int64_t dim,
                       const double *xs, int64_t n_inputs,
                       int64_t *idx, double *dist, double *scratch)
 {
-    if (n_inputs > 1) {
-        const int64_t n = n_nodes;
-        double *wt = scratch;
-        double *acc = wt + n * dim;
-        to_dim_major(weights, n, dim, wt);
-        for (int64_t j = 0; j < n_inputs; j++) {
-            distances(wt, n, dim, xs + j * dim, acc);
-            const int64_t best = first_min(acc, n);
-            idx[j] = best;
-            dist[j] = sqrt(acc[best]);
-        }
-        return;
-    }
+    const int64_t n = n_nodes;
+    double *wt = scratch;
+    double *acc = wt + n * dim;
+    transpose(weights, n, dim, wt);
     for (int64_t j = 0; j < n_inputs; j++) {
-        double d2;
-        idx[j] = nearest(weights, n_nodes, dim, xs + j * dim, &d2);
-        dist[j] = sqrt(d2);
+        distances(wt, n, dim, xs + j * dim, acc);
+        const int64_t best = first_min(acc, n);
+        idx[j] = best;
+        dist[j] = sqrt(acc[best]);
     }
 }
 
@@ -197,21 +163,12 @@ static void zero_negligible_factors(double *restrict h, const double *restrict w
     }
 }
 
-/* w += h * (x - w) for every node of the dim-major wt. Unless next is NULL,
- * also sum each updated node's squared distance to next into acc. */
+/* w += h * (x - w) for every node of the dim-major wt, and each updated
+ * node's squared distance to next into acc. */
 static void update(double *restrict wt, int64_t n, int64_t dim,
                    const double *restrict x, const double *restrict h,
                    const double *restrict next, double *restrict acc)
 {
-    if (next == NULL) {
-        for (int64_t k = 0; k < dim; k++) {
-            double *restrict row = wt + k * n;
-            const double xk = x[k];
-            for (int64_t i = 0; i < n; i++)
-                row[i] += h[i] * (xk - row[i]);
-        }
-        return;
-    }
     for (int64_t i = 0; i < n; i++)
         acc[i] = 0.0;
     for (int64_t k = 0; k < dim; k++) {
@@ -244,7 +201,7 @@ void netsom_run_steps(double *weights, int64_t n_nodes, int64_t dim,
     double *acc = wt + n * dim;
     double *h = acc + n;
     double *table = h + n;
-    to_dim_major(weights, n, dim, wt);
+    transpose(weights, n, dim, wt);
 
     distances(wt, n, dim, xs + stimuli[0] * dim, acc);
     for (int64_t t = 0; t < n_steps; t++) {
@@ -252,13 +209,10 @@ void netsom_run_steps(double *weights, int64_t n_nodes, int64_t dim,
             for (int64_t i = 0; i < n; i++)
                 table[i] = -1.0;
         const double *x = xs + stimuli[t] * dim;
-        const double *next = t + 1 < n_steps ? xs + stimuli[t + 1] * dim : NULL;
+        const double *next = xs + stimuli[t + 1 < n_steps ? t + 1 : t] * dim;
         gaussian_row(h, n / cols, cols, first_min(acc, n), alphas[t], sigmas[t], table);
         zero_negligible_factors(h, wt, n, dim, x);
         update(wt, n, dim, x, h, next, acc);
     }
-
-    for (int64_t i = 0; i < n; i++)
-        for (int64_t k = 0; k < dim; k++)
-            weights[i * dim + k] = wt[k * n + i];
+    transpose(wt, dim, n, weights);
 }

@@ -261,7 +261,8 @@ def train(
     and every ``qe_sample_every`` steps in between. When ``qe_threshold`` is
     given, training stops early at the first sample strictly below it
     (requires ``qe_sample_every``). ``seed`` feeds the stimulus stream and
-    defaults to the map's creation seed.
+    defaults to the map's creation seed. Raises ValueError when a sampled
+    quantization error is not finite: squared distances overflowed.
 
     Returns the trained map and a TrainingReport.
     """
@@ -280,10 +281,16 @@ def train(
     alphas, sigmas = _schedule_arrays(schedule)
     weights = som.weights.copy()
 
-    def qe_of(w: np.ndarray) -> float:
-        return float(_backend.bmu_batch(w, data)[1].mean())
+    def qe_of(w: np.ndarray, step: int) -> float:
+        qe = float(_backend.bmu_batch(w, data)[1].mean())
+        if not math.isfinite(qe):
+            raise ValueError(
+                f"squared distances overflow: the quantization error at step {step} is {qe}; "
+                "scale the data so that squared differences fit in a float64"
+            )
+        return qe
 
-    initial_qe = qe_of(weights)
+    initial_qe = qe_of(weights, 0)
     history: list[tuple[int, float]] = [(0, initial_qe)]
     final_qe = initial_qe
     done = 0
@@ -295,7 +302,7 @@ def train(
             som.shape.cols,
         )
         done = end
-        final_qe = qe_of(weights)
+        final_qe = qe_of(weights, done)
         history.append((done, final_qe))
         if qe_threshold is not None and final_qe < qe_threshold:
             break

@@ -68,6 +68,11 @@ class TestBmuParity:
             i_c, d_c = compiled.bmu_batch(weights, xs)
             assert np.array_equal(i_py, i_c)
             assert np.array_equal(d_py, d_c)
+            # One row per call, as find_bmu and anomaly.score search.
+            for j in range(len(xs)):
+                i_1, d_1 = compiled.bmu_batch(weights, xs[j:j + 1])
+                assert i_1[0] == i_py[j]
+                assert d_1.view(np.uint64)[0] == d_py.view(np.uint64)[j]
 
     def test_tie_break_is_lowest_index_in_both(self, compiled):
         weights = np.ascontiguousarray([[1.0, 1.0], [5.0, 5.0], [1.0, 1.0]])
@@ -156,6 +161,24 @@ class TestParallelBmuParity:
             compiled.bmu_batch(weights, xs)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert_search_bit_equal(compiled, weights, xs)
+
+    @pytest.mark.parametrize("n_rows", [0, 1])
+    def test_tiny_batch_starts_no_thread_and_asks_no_cpu(self, compiled, monkeypatch, n_rows):
+        class NoThread:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a thread was started")
+
+        def no_getcpu():
+            raise AssertionError("sched_getcpu was called")
+
+        monkeypatch.setattr(_core_c, "PARALLEL_MIN_TERMS", 1)
+        monkeypatch.setattr(threading, "Thread", NoThread)
+        monkeypatch.setattr(compiled, "_getcpu", no_getcpu)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        weights, xs = random_case(np.random.default_rng(12), n_inputs=2)
+        with pytest.raises(AssertionError, match="sched_getcpu was called"):
+            compiled.bmu_batch(weights, xs)
+        assert_search_bit_equal(compiled, weights, xs[:n_rows])
 
     def test_cpu_count_without_affinity(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)

@@ -108,6 +108,20 @@ class TestTrainCommand:
         assert err.startswith("error: range of dimension 0 overflows")
         assert not out.exists()
 
+    def test_overflowing_distances_are_an_error(self, tmp_path, capsys):
+        # The range fits a float64, but squared distances overflow to inf.
+        data = np.tile([[8e307, 0.0], [-8e307, 1.0]], (25, 1))
+        csv_path = write_csv(tmp_path / "huge.csv", data, header=["f0", "f1"])
+        out = tmp_path / "m.som"
+        argv = quick_train_args(csv_path, out, **{"--rows": "3", "--cols": "3",
+                                                  "--normalize": "none"})
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: squared distances overflow")
+        assert len(captured.err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == [tmp_path / "huge.csv"]
+
     def test_report_file(self, tmp_path, normal_cluster, capsys):
         out = tmp_path / "map.som"
         report = tmp_path / "report.txt"

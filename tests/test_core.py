@@ -399,6 +399,23 @@ class TestTrain:
         for weights in maps[1:]:
             np.testing.assert_array_equal(weights.view(np.uint64), maps[0].view(np.uint64))
 
+    def test_overflowing_distances_rejected(self, monkeypatch):
+        # Finite data whose squared distances to the map overflow to inf.
+        data = np.tile([[8e307, 0.0], [-8e307, 1.0]], (25, 1))
+        som = initialize(GridShape(3, 3), 2, bounds_of(data), seed=1)
+        schedule = TrainingSchedule(total_steps=10, ordering_steps=5, sigma_start=1.0)
+        with pytest.raises(ValueError, match="squared distances overflow: .* at step 0 is inf"):
+            train(som, data, schedule, seed=1)
+
+        # A later sample that overflows is rejected too.
+        def step_far_away(weights, *args):
+            weights[:] = 1e200
+
+        monkeypatch.setattr(_backend, "run_steps", step_far_away)
+        som = initialize(GridShape(3, 3), 2, [(0.0, 1.0)] * 2, seed=1)
+        with pytest.raises(ValueError, match="at step 5 is inf"):
+            train(som, [(0.5, 0.5)], schedule, qe_sample_every=5, seed=1)
+
     def test_threshold_requires_sampling_interval(self):
         som = initialize(GridShape(2, 2), 1, [(0.0, 1.0)], seed=1)
         schedule = TrainingSchedule(total_steps=10, ordering_steps=5, sigma_start=1.0)
