@@ -15,8 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from netsom import _backend
-from netsom.core import SomMap, as_matrix, as_vector
+from netsom.core import SomMap, as_vector, find_bmus
 from netsom.dataio import Dataset, json_fields
 from netsom.mapfile import write_text
 
@@ -78,12 +77,11 @@ def calibrate(som: SomMap, normal_data, percentile: float) -> AnomalyBaseline:
     """
     if not 0.0 < percentile <= 100.0:
         raise ValueError(f"percentile must lie in (0, 100], got {percentile}")
-    data = as_matrix(normal_data, som.dim)
-    n = data.shape[0]
+    _, residual = find_bmus(som, normal_data)
+    n = residual.shape[0]
     if n == 0:
         raise ValueError("calibration set is empty")
-    _, residuals = _backend.bmu_batch(som.weights, data)
-    ordered = np.sort(residuals)
+    ordered = np.sort(residual)
     rank = min(n, max(1, math.ceil(percentile * n / 100.0)))
     return AnomalyBaseline(
         map=som,
@@ -91,6 +89,14 @@ def calibrate(som: SomMap, normal_data, percentile: float) -> AnomalyBaseline:
         threshold_percentile=float(percentile),
         calibration_size=n,
     )
+
+
+def residuals(baseline: AnomalyBaseline, data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Winner, residual and anomaly flag of every row of ``data``, as arrays
+    in row order. A row is anomalous when its residual strictly exceeds the
+    threshold."""
+    bmu, residual = find_bmus(baseline.map, data)
+    return bmu, residual, residual > baseline.threshold
 
 
 def score(baseline: AnomalyBaseline, x, input_index: int = 0) -> Verdict:
@@ -101,17 +107,8 @@ def score(baseline: AnomalyBaseline, x, input_index: int = 0) -> Verdict:
 
 def score_batch(baseline: AnomalyBaseline, data) -> list[Verdict]:
     """Score a batch; verdict order matches input order."""
-    m = as_matrix(data, baseline.map.dim)
-    idx, dist = _backend.bmu_batch(baseline.map.weights, m)
-    return [
-        Verdict(
-            input_index=i,
-            bmu=int(idx[i]),
-            residual=float(dist[i]),
-            is_anomalous=float(dist[i]) > baseline.threshold,
-        )
-        for i in range(m.shape[0])
-    ]
+    columns = [column.tolist() for column in residuals(baseline, data)]
+    return [Verdict(i, *row) for i, row in enumerate(zip(*columns))]
 
 
 def evaluate(baseline: AnomalyBaseline, labeled: Dataset) -> EvalSummary:
@@ -120,9 +117,7 @@ def evaluate(baseline: AnomalyBaseline, labeled: Dataset) -> EvalSummary:
         raise ValueError("dataset has no labels")
     if len(labeled) == 0:
         raise ValueError("labeled dataset is empty")
-    m = as_matrix(labeled.vectors, baseline.map.dim)
-    _, dist = _backend.bmu_batch(baseline.map.weights, m)
-    flagged = dist > baseline.threshold
+    _, _, flagged = residuals(baseline, labeled.vectors)
     truth = labeled.labels
     tp = int(np.sum(flagged & truth))
     fp = int(np.sum(flagged & ~truth))

@@ -217,8 +217,6 @@ def _load_pipeline(args):
     if args.baseline is not None:
         baseline = baseline_from_json_dict(_read_json(args.baseline, "baseline"), som)
     else:
-        if args.calibration is None:
-            raise ValueError("either --calibration or --baseline is required")
         cal = load_csv(
             args.calibration,
             has_header=not args.no_header,
@@ -289,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--alpha-mid", type=float, default=ALPHA_MID_DEFAULT)
     p_train.add_argument("--alpha-end", type=float, default=ALPHA_END_DEFAULT)
     p_train.add_argument("--sigma-start", type=float, default=None,
-                         help="default: max(rows, cols) / 2")
+                         help="default: max(rows, cols) / 2, but at least --sigma-end")
     p_train.add_argument("--sigma-end", type=float, default=SIGMA_END_DEFAULT)
     p_train.add_argument("--qe-sample-every", type=int, default=None,
                          help="default: total steps / 10")
@@ -331,8 +329,9 @@ def _add_pipeline_flags(p) -> None:
     p.add_argument("--map", required=True)
     p.add_argument("--normalizer", default=None,
                    help="persisted normalizer (default: <map>.norm.json)")
-    p.add_argument("--calibration", default=None, help="normal-data CSV for calibration")
-    p.add_argument("--baseline", default=None, help="previously saved baseline JSON")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--calibration", default=None, help="normal-data CSV for calibration")
+    source.add_argument("--baseline", default=None, help="previously saved baseline JSON")
     p.add_argument("--percentile", type=float, default=99.0)
     p.add_argument("--calibration-label-column", default=None,
                    help="label column to strip from the calibration CSV, if any")

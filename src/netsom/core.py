@@ -193,9 +193,14 @@ def find_bmu(som: SomMap, x) -> tuple[int, float]:
     """Winner node for input ``x``: index of the node with the smallest
     Euclidean distance to ``x``, ties to the lowest index. Returns
     (index, distance)."""
-    v = as_vector(x, som.dim)
-    idx, dist = _backend.bmu_batch(som.weights, v.reshape(1, -1))
+    idx, dist = find_bmus(som, as_vector(x, som.dim).reshape(1, -1))
     return int(idx[0]), float(dist[0])
+
+
+def find_bmus(som: SomMap, data) -> tuple[np.ndarray, np.ndarray]:
+    """``find_bmu`` for every row of ``data``: (int64 indices, float64
+    distances), one entry per row in row order."""
+    return _backend.bmu_batch(som.weights, as_matrix(data, som.dim))
 
 
 def kernel(c: GridPosition, i: GridPosition, alpha: float, sigma: float) -> float:
@@ -239,10 +244,9 @@ def select_stimulus(training_set, rng: np.random.Generator) -> np.ndarray:
 
 def quantization_error(som: SomMap, data) -> float:
     """Mean distance from each vector in ``data`` to its best matching unit."""
-    m = as_matrix(data, som.dim)
-    if m.shape[0] == 0:
+    _, dist = find_bmus(som, data)
+    if dist.size == 0:
         raise ValueError("data is empty")
-    _, dist = _backend.bmu_batch(som.weights, m)
     return float(dist.mean())
 
 

@@ -300,7 +300,8 @@ def save_csv(dataset: Dataset, destination, label_column: str = "label") -> None
 
 def fit_normalizer(data: Dataset, method: str) -> NormalizationModel:
     """Fit per-dimension statistics. Constant columns are flagged degenerate
-    and map to 0 under either method."""
+    and map to 0 under either method. Raises ValueError naming a column
+    whose range (minmax) or mean or stddev (zscore) overflows."""
     if method not in NORMALIZATION_METHODS:
         raise ValueError(f"unknown normalization method {method!r}")
     if len(data) == 0:
@@ -309,16 +310,27 @@ def fit_normalizer(data: Dataset, method: str) -> NormalizationModel:
     mins = v.min(axis=0)
     maxs = v.max(axis=0)
     degenerate = mins == maxs
-    if method == "minmax":
-        stats = {"min": mins, "max": maxs}
-    elif method == "zscore":
-        means = v.mean(axis=0)
-        stds = np.sqrt(np.mean((v - means) ** 2, axis=0))
-        stds = np.where(degenerate, 0.0, stds)
-        stats = {"mean": means, "stddev": stds}
-    else:
-        stats = {}
-        degenerate = np.zeros(data.dim, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if method == "minmax":
+            stats = {"min": mins, "max": maxs}
+            checked = {"range (max - min)": maxs - mins}
+        elif method == "zscore":
+            means = v.mean(axis=0)
+            stds = np.sqrt(np.mean((v - means) ** 2, axis=0))
+            stds = np.where(degenerate, 0.0, stds)
+            stats = checked = {"mean": means, "stddev": stds}
+        else:
+            stats = checked = {}
+            degenerate = np.zeros(data.dim, dtype=bool)
+    for what, values in checked.items():
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            c = int(bad[0])
+            column = repr(data.column_names[c]) if data.column_names else str(c + 1)
+            raise ValueError(
+                f"cannot fit {method} normalization: the {what} of column {column} "
+                "is not finite; scale the data down"
+            )
     return NormalizationModel(method=method, stats=stats, degenerate=degenerate)
 
 

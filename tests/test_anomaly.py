@@ -8,6 +8,7 @@ from netsom.anomaly import (
     baseline_to_json_dict,
     calibrate,
     evaluate,
+    residuals,
     score,
     score_batch,
     verdicts_to_csv,
@@ -181,6 +182,81 @@ class TestEvaluate:
         ds = Dataset(vectors=np.ones((2, 3)), labels=np.array([False, True]))
         with pytest.raises(ValueError, match=r"^dimension mismatch: expected 4, got 3$"):
             evaluate(AnomalyBaseline(som, 1.0, 99.0, 10), ds)
+
+
+class TestResiduals:
+    def _trained_baseline(self):
+        rng = np.random.default_rng(77)
+        data = rng.normal(0.0, 1.0, size=(300, 3))
+        som = initialize(GridShape(4, 4), 3, bounds_of(data), seed=5)
+        trained, _ = train(som, data, TrainingSchedule.default_for(som.shape), seed=6)
+        return calibrate(trained, data, 90.0), rng
+
+    def test_agrees_with_score_batch_evaluate_and_calibrate(self):
+        baseline, rng = self._trained_baseline()
+        data = rng.normal(0.0, 1.5, size=(250, 3))
+        labels = rng.random(250) < 0.3
+        bmu, residual, flagged = residuals(baseline, data)
+        assert (bmu.dtype, residual.dtype, flagged.dtype) == (np.int64, np.float64, bool)
+        assert bmu.shape == residual.shape == flagged.shape == (250,)
+        assert 0 < flagged.sum() < 250
+
+        rows = [(v.input_index, v.bmu, v.residual, v.is_anomalous)
+                for v in score_batch(baseline, data)]
+        assert rows == list(zip(range(250), bmu.tolist(), residual.tolist(), flagged.tolist()))
+
+        summary = evaluate(baseline, Dataset(vectors=data, labels=labels))
+        assert (
+            summary.true_positives,
+            summary.false_positives,
+            summary.true_negatives,
+            summary.false_negatives,
+        ) == (
+            int(np.sum(flagged & labels)),
+            int(np.sum(flagged & ~labels)),
+            int(np.sum(~flagged & ~labels)),
+            int(np.sum(~flagged & labels)),
+        )
+
+        for pct in (0.5, 10.0, 50.0, 99.0, 100.0):
+            rebuilt = calibrate(baseline.map, data, pct)
+            assert rebuilt.threshold == oracle_nearest_rank(residual, pct)
+            assert rebuilt.calibration_size == 250
+
+    def test_verdict_fields_are_python_scalars(self):
+        # A numpy scalar would print as np.float64(...) in the verdict CSV.
+        baseline, rng = self._trained_baseline()
+        verdicts = score_batch(baseline, rng.normal(0.0, 3.0, size=(20, 3)))
+        assert {v.is_anomalous for v in verdicts} == {False, True}
+        for v in verdicts:
+            assert type(v.input_index) is int
+            assert type(v.bmu) is int
+            assert type(v.residual) is float
+            assert type(v.is_anomalous) is bool
+        assert "np." not in verdicts_to_csv(verdicts)
+
+    def test_residual_equal_to_threshold_is_not_flagged(self):
+        baseline = AnomalyBaseline(single_node_map((0.0, 0.0)), 5.0, 99.0, 1)
+        bmu, residual, flagged = residuals(baseline, [(3.0, 4.0), (0.0, -5.0), (3.0, 4.5)])
+        assert bmu.tolist() == [0, 0, 0]
+        assert residual.tolist()[:2] == [5.0, 5.0]
+        assert flagged.tolist() == [False, False, True]
+
+    def test_messages(self):
+        baseline = AnomalyBaseline(single_node_map((0.0, 0.0)), 1.0, 99.0, 1)
+        with pytest.raises(ValueError, match=r"^dimension mismatch: expected 2, got 3$"):
+            residuals(baseline, np.ones((4, 3)))
+        with pytest.raises(ValueError, match=r"^dimension mismatch: expected 2, got 3$"):
+            score_batch(baseline, np.ones((4, 3)))
+        with pytest.raises(ValueError, match=r"^dimension mismatch: expected 2, got 3$"):
+            calibrate(baseline.map, np.ones((4, 3)), 99.0)
+        with pytest.raises(ValueError, match=r"^calibration set is empty$"):
+            calibrate(baseline.map, np.empty((0, 2)), 99.0)
+        with pytest.raises(ValueError, match=r"^labeled dataset is empty$"):
+            evaluate(baseline, Dataset(vectors=np.empty((0, 2)), labels=np.empty(0, bool)))
+        bmu, residual, flagged = residuals(baseline, np.empty((0, 2)))
+        assert bmu.shape == residual.shape == flagged.shape == (0,)
+        assert score_batch(baseline, np.empty((0, 2))) == []
 
 
 class TestVerdictCsv:

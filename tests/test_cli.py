@@ -108,6 +108,23 @@ class TestTrainCommand:
         assert err.startswith("error: range of dimension 0 overflows")
         assert not out.exists()
 
+    @pytest.mark.parametrize("method, stat", [("minmax", "range (max - min)"),
+                                              ("zscore", "stddev")])
+    def test_normalizer_that_overflows_is_an_error(self, tmp_path, capsys, method, stat):
+        data = np.tile([[0.0, 1.7e308], [1.0, -1.7e308]], (25, 1))
+        csv_path = write_csv(tmp_path / "huge.csv", data, header=["f0", "f1"])
+        out = tmp_path / "m.som"
+        argv = quick_train_args(csv_path, out, **{"--rows": "3", "--cols": "3",
+                                                  "--normalize": method})
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: cannot fit {method} normalization: the {stat} of column 'f1' "
+            "is not finite; scale the data down\n"
+        )
+        assert list(tmp_path.iterdir()) == [tmp_path / "huge.csv"]
+
     def test_overflowing_distances_are_an_error(self, tmp_path, capsys):
         # The range fits a float64, but squared distances overflow to inf.
         data = np.tile([[8e307, 0.0], [-8e307, 1.0]], (25, 1))
@@ -222,6 +239,31 @@ class TestUmatrixCommand:
 
 
 class TestDetectCommand:
+    @pytest.mark.parametrize("command", ["detect", "eval"])
+    @pytest.mark.parametrize(
+        "sources, message",
+        [
+            (["--calibration", "c.csv", "--baseline", "b.json"],
+             "argument --baseline: not allowed with argument --calibration"),
+            ([], "one of the arguments --calibration --baseline is required"),
+        ],
+        ids=["both", "neither"],
+    )
+    def test_calibration_or_baseline_exactly_one(self, tmp_path, capsys, command,
+                                                 sources, message):
+        # A usage error before any file is read: none of these paths exist.
+        argv = [command, "--map", str(tmp_path / "m.som"),
+                "--input", str(tmp_path / "x.csv"), *sources]
+        if command == "detect":
+            argv += ["--out", str(tmp_path / "v.csv")]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == f"netsom {command}: error: {message}"
+        assert list(tmp_path.iterdir()) == []
+
     def test_self_scoring_at_percentile_100_flags_nothing(self, tmp_path, normal_cluster, capsys):
         out = tmp_path / "map.som"
         main(quick_train_args(normal_cluster, out))

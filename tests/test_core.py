@@ -14,13 +14,14 @@ from conftest import (
     oracle_kernel,
     oracle_qe,
 )
-from netsom import _backend
+from netsom import _backend, anomaly
 from netsom.core import (
     SomMap,
     TrainingSchedule,
     _schedule_arrays,
     adapt,
     find_bmu,
+    find_bmus,
     initialize,
     kernel,
     quantization_error,
@@ -28,6 +29,7 @@ from netsom.core import (
     select_stimulus,
     train,
 )
+from netsom.dataio import Dataset
 from netsom.grid import GridPosition, GridShape
 from netsom.mapfile import MapFormatError, load_map, save_map, write_atomic
 
@@ -111,6 +113,66 @@ class TestFindBmu:
         som = make_map([[0.0, 0.0]], 1, 1)
         with pytest.raises(ValueError, match="dimension mismatch"):
             find_bmu(som, (1.0, 2.0, 3.0))
+
+
+class TestFindBmus:
+    def test_matches_find_bmu_row_by_row(self):
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            dim = int(rng.integers(1, 6))
+            # Small integers make exact ties between nodes common.
+            w = rng.integers(-2, 3, size=(12, dim)).astype(np.float64)
+            som = make_map(w, 3, 4)
+            data = rng.integers(-3, 4, size=(40, dim)).astype(np.float64)
+            idx, dist = find_bmus(som, data)
+            assert (idx.dtype, dist.dtype) == (np.int64, np.float64)
+            assert idx.shape == dist.shape == (40,)
+            rows = [find_bmu(som, x) for x in data]
+            assert list(zip(idx.tolist(), dist.tolist())) == rows
+            assert float(dist.mean()) == quantization_error(som, data)
+
+    def test_one_dimensional_input_for_a_one_feature_map(self):
+        som = make_map([[0.0], [4.0]], 1, 2)
+        idx, dist = find_bmus(som, [1.0, 3.0, 2.0])
+        assert idx.tolist() == [0, 1, 0]
+        assert dist.tolist() == [1.0, 1.0, 2.0]
+
+    def test_messages(self):
+        som = make_map([[0.0, 0.0]], 1, 1)
+        with pytest.raises(ValueError, match=r"^dimension mismatch: expected 2, got 3$"):
+            find_bmus(som, np.ones((2, 3)))
+        with pytest.raises(ValueError, match=r"^dimension mismatch: expected 2, got 3$"):
+            find_bmu(som, (1.0, 2.0, 3.0))
+        with pytest.raises(ValueError, match=r"^dimension mismatch: expected 2, got 3$"):
+            quantization_error(som, np.ones((2, 3)))
+        with pytest.raises(ValueError, match=r"^feature data contains non-finite values$"):
+            find_bmus(som, [(0.0, np.nan)])
+        with pytest.raises(ValueError, match=r"^data is empty$"):
+            quantization_error(som, np.empty((0, 2)))
+        idx, dist = find_bmus(som, np.empty((0, 2)))
+        assert idx.shape == dist.shape == (0,)
+
+    def test_every_search_goes_through_the_backend_at_call_time(self, monkeypatch):
+        # Wrapping _backend.bmu_batch after import must see every winner
+        # search that the library and the anomaly layer make.
+        calls = []
+        search = _backend.bmu_batch
+
+        def counted(weights, xs):
+            calls.append(xs.shape[0])
+            return search(weights, xs)
+
+        monkeypatch.setattr(_backend, "bmu_batch", counted)
+        som = make_map([[0.0, 0.0], [1.0, 1.0]], 1, 2)
+        data = np.array([[0.1, 0.0], [0.9, 1.0], [3.0, 3.0]])
+        find_bmu(som, data[0])
+        find_bmus(som, data)
+        quantization_error(som, data)
+        baseline = anomaly.calibrate(som, data, 50.0)
+        anomaly.residuals(baseline, data)
+        anomaly.score_batch(baseline, data)
+        anomaly.evaluate(baseline, Dataset(vectors=data, labels=np.array([False, False, True])))
+        assert calls == [1, 3, 3, 3, 3, 3, 3]
 
 
 class TestKernel:

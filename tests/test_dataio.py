@@ -289,6 +289,32 @@ class TestNormalizer:
         out = apply_normalizer(model, ds)
         assert np.array_equal(out.vectors[:, 0], [0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("names, column", [(["a", "b"], "'b'"), (None, "2")])
+    def test_minmax_range_that_overflows_rejected(self, names, column):
+        # Every value is finite, but max - min of the second column is not.
+        values = np.tile([[0.0, 1.7e308], [1.0, -1.7e308]], (25, 1))
+        with pytest.raises(ValueError) as info:
+            fit_normalizer(Dataset(values, names), "minmax")
+        assert str(info.value) == (
+            f"cannot fit minmax normalization: the range (max - min) of column {column} "
+            "is not finite; scale the data down"
+        )
+
+    @pytest.mark.parametrize(
+        "values, stat",
+        [
+            (np.tile([[0.0, 1e200], [1.0, -1e200]], (25, 1)), "stddev"),
+            (np.tile([[0.0, 1.7e308], [1.0, 1.6e308]], (25, 1)), "mean"),
+        ],
+    )
+    def test_zscore_statistic_that_overflows_rejected(self, values, stat):
+        with pytest.raises(ValueError) as info:
+            fit_normalizer(Dataset(values, ["a", "b"]), "zscore")
+        assert str(info.value) == (
+            f"cannot fit zscore normalization: the {stat} of column 'b' "
+            "is not finite; scale the data down"
+        )
+
     def test_minmax_clamps_out_of_range(self):
         ds = Dataset(vectors=np.array([[0.0], [10.0]]))
         model = fit_normalizer(ds, "minmax")
