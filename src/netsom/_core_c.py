@@ -9,10 +9,14 @@ argument raises instead of reading or writing arbitrary memory.
 
 Every :meth:`Kernel.bmu_batch` call, a single row too, copies the weights
 into dim-major scratch and searches each row against that copy. A large one
-runs on several threads, one contiguous block of rows each. ctypes releases
-the GIL for the length of a kernel call, so the blocks run at once, and each
-worker thread first moves itself off the calling thread's CPU (see
-:meth:`Kernel._worker_cpus`).
+runs on several threads, one contiguous block of rows each. A
+:meth:`Kernel.run_steps` call on a large map runs as several parts at once,
+one contiguous block of nodes each, which agree on every step's winner
+through shared slots (see ``_kernel.c``); its weights are the one-part
+run's, bit for bit. ctypes releases the GIL for the length of a kernel call,
+so the calls run at once. Each worker thread first moves itself to a CPU of
+its own, which the calling thread keeps off until all calls are done (see
+:meth:`Kernel._run_calls`).
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ _I64 = ctypes.c_int64
 _PTR = ctypes.c_void_p
 
 # The argument-list version this module binds; NETSOM_ABI in _kernel.c.
-ABI = 2
+ABI = 3
 
 # Distance terms (rows x nodes x dim) that each block of a split bmu_batch
 # must get. A batch with fewer than twice as many stays on the calling thread:
@@ -39,6 +43,21 @@ ABI = 2
 # 0.5-1M terms, 1.07x (1600x41 map) and 1.4x (100x41 map) at 4M terms, 1.3x
 # and 1.7x at 8M terms.
 PARALLEL_MIN_TERMS = 2_000_000
+
+# Node-dimension terms (nodes x dim) that each part of a split run_steps must
+# get at every step, and terms (steps x nodes x dim) that a split call must
+# have. The parts wait for each other at every step, and each call starts
+# its threads anew. Two parts against one, 2-vCPU Xeon VM, 41 features,
+# calls of 1000 steps with a winner search between them as in train, each
+# trial a new process, 4-6 trials: a 10x10 map (4100 terms a step) gained
+# nothing (about 3 ms against 2.5-4.5 ms a call, the first call up to
+# 13 ms); 15x15 and 20x20 (9225 and 16400) gained in half the trials and
+# lost the rest to waits of 5-20 ms, which a part spends when the other's
+# CPU stops running it; 25x25 (25625) won 3 of 4 trials, 30x30 and 40x40
+# won every one, 1.3-1.7x. A 40x40 map gained from calls of 300 steps
+# (20M terms) on; at 100 steps (6.6M) the first call of a process lost.
+STEP_PART_MIN_TERMS = 12_000
+STEP_CALL_MIN_TERMS = 20_000_000
 
 
 def built_library() -> Path | None:
@@ -77,7 +96,8 @@ class Kernel:
         self._bmu.argtypes = [_PTR, _I64, _I64, _PTR, _I64, _PTR, _PTR, _PTR]
         self._bmu.restype = None
         self._steps = lib.netsom_run_steps
-        self._steps.argtypes = [_PTR, _I64, _I64, _PTR, _PTR, _PTR, _PTR, _I64, _I64, _PTR]
+        self._steps.argtypes = [_PTR, _I64, _I64, _PTR, _PTR, _PTR, _PTR, _I64, _I64,
+                                _I64, _I64, _I64, _I64, _PTR, _PTR]
         self._steps.restype = None
         self._getcpu = _bind_sched_getcpu()
 
@@ -94,37 +114,94 @@ class Kernel:
 
     def _search_blocks(self, weights, xs, idx, dist, blocks) -> None:
         """Search each (start, stop) block of rows of ``xs`` with its own
-        kernel call and scratch: the first on this thread, each other one on a
-        thread of its own, so a single block starts no thread. Returns when
-        all are done."""
+        kernel call and scratch, all at once (see :meth:`_run_calls`)."""
         n_nodes, dim = weights.shape
         w, x, i, d = weights.ctypes.data, xs.ctypes.data, idx.ctypes.data, dist.ctypes.data
         # Dim-major weights and distances for each block. Allocated here, so
         # that a failure raises here. They and the arrays outlive every
         # thread, so the pointers stay valid.
         scratch = [np.empty(n_nodes * (dim + 1)) for _ in blocks]
-        calls = [(w, n_nodes, dim, x + xs.strides[0] * lo, hi - lo, i + idx.strides[0] * lo,
-                  d + dist.strides[0] * lo, block_scratch.ctypes.data)
-                 for (lo, hi), block_scratch in zip(blocks, scratch)]
-        threads = [threading.Thread(target=_search_on, args=(cpu, self._bmu, args))
-                   for cpu, args in zip(self._worker_cpus(len(calls) - 1), calls[1:])]
+        self._run_calls(self._bmu, [
+            (w, n_nodes, dim, x + xs.strides[0] * lo, hi - lo, i + idx.strides[0] * lo,
+             d + dist.strides[0] * lo, block_scratch.ctypes.data)
+            for (lo, hi), block_scratch in zip(blocks, scratch)
+        ])
+
+    def _run_calls(self, kernel, calls, together: bool = False) -> None:
+        """``kernel(*args)`` for every ``args`` of ``calls``, all at once: the
+        first on this thread, each other one on a thread of its own, so a
+        single call starts no thread. Returns when all are done.
+
+        Calls made ``together``, the parts of a split step loop, wait for
+        each other at every step, so were one thread not to start, the
+        others would wait for it for ever. Their workers therefore wait at a
+        gate until every worker has started; where one cannot start, they
+        return without calling, and the error that stopped the start is
+        raised here. Independent calls start at once: waking a worker at a
+        gate made a 4M-term winner search 2-4 ms slower in a new process.
+
+        The workers go to CPUs of their own (see :meth:`_worker_cpus`), and
+        this thread keeps off them until all are done. Left free, it can be
+        woken on a worker's CPU; the parts of a split step loop then take
+        turns there, one yield per step, and a 4 ms call took up to 39 ms."""
+        if len(calls) == 1:
+            kernel(*calls[0])
+            return
+        gate = threading.Event()
+        go = not together
+        if go:
+            gate.set()
+
+        def gated(*args):
+            gate.wait()
+            if go:
+                kernel(*args)
+
+        cpus = self._worker_cpus(len(calls) - 1)
+        threads = [threading.Thread(target=_run_on, args=(cpu, gated, args))
+                   for cpu, args in zip(cpus, calls[1:])]
         try:
             for thread in threads:
                 thread.start()
-            self._bmu(*calls[0])
+            go = True
+            gate.set()
+            with self._kept_off(cpus):
+                kernel(*calls[0])
         finally:
+            gate.set()
             for thread in threads:
                 if thread.ident is not None:
                     thread.join()
 
+    @contextlib.contextmanager
+    def _kept_off(self, cpus):
+        """Keep the calling thread off ``cpus`` (None entries aside) for the
+        length of the block. The move only places the work: a refused one is
+        ignored."""
+        if self._getcpu is None:
+            yield
+            return
+        allowed = os.sched_getaffinity(0)
+        rest = allowed - set(cpus)
+        if not rest or rest == allowed:
+            yield
+            return
+        with contextlib.suppress(OSError):
+            os.sched_setaffinity(0, rest)
+        try:
+            yield
+        finally:
+            with contextlib.suppress(OSError):
+                os.sched_setaffinity(0, allowed)
+
     def _worker_cpus(self, n_workers: int) -> list[int | None]:
-        """A CPU for each worker thread of a split search: the allowed CPUs
+        """A CPU for each worker thread of a split call: the allowed CPUs
         other than the calling thread's current one, in order; None where
         none is left or the platform cannot move a thread.
 
         A new thread starts on its creator's CPU. Where the scheduler does not
         balance load, as in a cpuset with sched_load_balance off, it stays
-        there, and the blocks would run one after another."""
+        there, and the calls would run one after another."""
         if n_workers == 0 or self._getcpu is None:
             return [None] * n_workers
         here = self._getcpu()
@@ -154,11 +231,19 @@ class Kernel:
             raise ValueError(f"cols must be at least 1, got {cols}")
         if n_nodes % cols:
             raise ValueError(f"{n_nodes} nodes do not fill a lattice with {cols} columns")
-        # The kernel's working memory: dim-major weights, distances, factors
-        # and the factor table. Allocated here, so a failure is a MemoryError.
-        scratch = np.empty(n_nodes * (dim + 3), dtype=np.float64)
-        self._steps(weights.ctypes.data, n_nodes, dim, xs.ctypes.data, stimuli.ctypes.data,
-                    alphas.ctypes.data, sigmas.ctypes.data, n_steps, cols, scratch.ctypes.data)
+        parts = _node_parts(n_nodes, dim, n_steps)
+        # Each part's working memory: dim-major weights, distances, factors
+        # and the factor table; and the slots through which split parts
+        # agree on each step's winner. Allocated here, so a failure is a
+        # MemoryError. They and the arrays outlive every thread.
+        scratch = [np.empty((hi - lo) * (dim + 2) + n_nodes) for lo, hi in parts]
+        slots, sync = _slots(len(parts))
+        self._run_calls(self._steps, [
+            (weights.ctypes.data, n_nodes, dim, xs.ctypes.data, stimuli.ctypes.data,
+             alphas.ctypes.data, sigmas.ctypes.data, n_steps, cols, lo, hi, part, len(parts),
+             sync, part_scratch.ctypes.data)
+            for part, ((lo, hi), part_scratch) in enumerate(zip(parts, scratch))
+        ], together=True)
 
 
 def _bind_sched_getcpu():
@@ -173,13 +258,13 @@ def _bind_sched_getcpu():
     return getcpu
 
 
-def _search_on(cpu: int | None, search, args) -> None:
-    """``search(*args)`` on this thread, first moved to ``cpu`` unless it is
-    None. The move only places the work: the search runs where it fails."""
+def _run_on(cpu: int | None, kernel, args) -> None:
+    """``kernel(*args)`` on this thread, first moved to ``cpu`` unless it is
+    None. The move only places the work: the call runs where it fails."""
     if cpu is not None:
         with contextlib.suppress(OSError):
             os.sched_setaffinity(0, {cpu})
-    search(*args)
+    kernel(*args)
 
 
 def _row_blocks(n_rows: int, terms_per_row: int) -> list[tuple[int, int]]:
@@ -189,9 +274,36 @@ def _row_blocks(n_rows: int, terms_per_row: int) -> list[tuple[int, int]]:
     terms = n_rows * terms_per_row
     if n_rows < 2 or terms < 2 * PARALLEL_MIN_TERMS:
         return [(0, n_rows)]
-    n_blocks = min(_usable_cpus(), n_rows, terms // PARALLEL_MIN_TERMS)
-    bounds = [n_rows * b // n_blocks for b in range(n_blocks + 1)]
+    return _blocks(n_rows, min(_usable_cpus(), n_rows, terms // PARALLEL_MIN_TERMS))
+
+
+def _node_parts(n_nodes: int, dim: int, n_steps: int) -> list[tuple[int, int]]:
+    """Contiguous (start, stop) node blocks of a step loop, the first for the
+    calling thread: one per usable CPU and at most one per node, but no more
+    than there are STEP_PART_MIN_TERMS node-dimension terms in each step, and
+    one alone for a call of fewer than STEP_CALL_MIN_TERMS terms."""
+    terms = n_nodes * dim
+    if terms < 2 * STEP_PART_MIN_TERMS or n_steps * terms < STEP_CALL_MIN_TERMS:
+        return [(0, n_nodes)]
+    return _blocks(n_nodes, min(_usable_cpus(), n_nodes, terms // STEP_PART_MIN_TERMS))
+
+
+def _blocks(n: int, n_blocks: int) -> list[tuple[int, int]]:
+    """``range(n)`` cut into ``n_blocks`` contiguous (start, stop) blocks
+    whose lengths differ by at most one."""
+    bounds = [n * b // n_blocks for b in range(n_blocks + 1)]
     return list(zip(bounds, bounds[1:]))
+
+
+def _slots(n_parts: int) -> tuple[np.ndarray | None, int | None]:
+    """Zeroed memory for the kernel's n_parts 64-byte slots, the first at an
+    address that is a multiple of 64, so that no two parts write to one
+    cache line: the array that holds it, and that address. (None, None) for
+    one part, which reads no slot."""
+    if n_parts == 1:
+        return None, None
+    memory = np.zeros(8 * (n_parts + 1), dtype=np.int64)
+    return memory, memory.ctypes.data + (-memory.ctypes.data) % 64
 
 
 def _usable_cpus() -> int:

@@ -1,8 +1,8 @@
 /* Compiled training hot path, called through ctypes by netsom._core_c.
  *
- * Plain C99 with no Python API. Mirrors netsom._core_py operation for
- * operation: squared distances accumulate one dimension at a time, ties go
- * to the lowest node index, and the update is w += h * (x - w). Build with
+ * C11 with no Python API. Mirrors netsom._core_py operation for operation:
+ * squared distances accumulate one dimension at a time, ties go to the
+ * lowest node index, and the update is w += h * (x - w). Build with
  * -ffp-contract=off: fused multiply-adds would round differently from the
  * pure backend. The caller validates shapes, dtypes and indices.
  *
@@ -29,21 +29,39 @@
  *   The first search of a call runs on its own; the last step searches its
  *   own stimulus again and discards the distances.
  *
+ * A large map's steps run as P parts at once, one call per part, each on a
+ * thread that netsom._core_c starts. Part p owns the contiguous nodes
+ * [lo, hi) and keeps its own dim-major weights, distances, factors and
+ * factor table. At each step it finds the first strict minimum of its own
+ * distances, publishes it in its slot and reads every part's slot in part
+ * order, keeping a later part's winner only where it is strictly smaller:
+ * that is first_min() over all nodes, so every part updates its own nodes
+ * around the one winner. With P = 1 no slot is read or written.
+ *
  * The results are still those of netsom._core_py's order of operations.
- * Nodes are independent, so swapping the node and dimension loops changes
- * no sum: each node still starts from 0.0 and adds (w - x)^2 in dimension
- * order in its own accumulator, and the winner is still the first strict
- * minimum. A table entry is the double the direct expression gives, h is
- * still alpha times it, each component still gets w += h * (x - w), and
- * the fused search reads the weight just stored.
+ * Nodes are independent, so swapping the node and dimension loops, or
+ * giving the nodes to different parts, changes no sum: each node still
+ * starts from 0.0 and adds (w - x)^2 in dimension order in its own
+ * accumulator, and the winner is still the first strict minimum. A table
+ * entry is the double the direct expression gives, h is still alpha times
+ * it, each component still gets w += h * (x - w), and the fused search
+ * reads the weight just stored.
  */
+#define _POSIX_C_SOURCE 200809L
+
 #include <math.h>
+#include <sched.h>
+#include <stdatomic.h>
 #include <stdint.h>
 
 /* Version of the exported functions' argument lists. netsom._core_c refuses
  * a library whose number differs, such as one left over from an older
  * source after a failed rebuild. Bump it whenever a signature changes. */
-#define NETSOM_ABI 2
+#define NETSOM_ABI 3
+
+/* Loads of a slot's stamp before a waiting part starts to yield its CPU
+ * between loads, so that a part waiting for that CPU gets to run. */
+#define SPIN_ROUNDS 4096
 
 int64_t netsom_abi(void)
 {
@@ -75,18 +93,27 @@ static void distances(const double *restrict wt, int64_t n, int64_t dim,
     }
 }
 
+/* Index of the first strict minimum of acc[from..n) that is below *best,
+ * which then holds it; at where no entry is below *best. */
+static int64_t scan_min(const double *acc, int64_t from, int64_t n, int64_t at,
+                        double *best)
+{
+    double best_acc = *best;
+    for (int64_t i = from; i < n; i++) {
+        if (acc[i] < best_acc) {
+            best_acc = acc[i];
+            at = i;
+        }
+    }
+    *best = best_acc;
+    return at;
+}
+
 /* Index of the first strict minimum of acc: ties go to the lowest index. */
 static int64_t first_min(const double *acc, int64_t n)
 {
-    int64_t best = 0;
-    double best_acc = acc[0];
-    for (int64_t i = 1; i < n; i++) {
-        if (acc[i] < best_acc) {
-            best_acc = acc[i];
-            best = i;
-        }
-    }
-    return best;
+    double best = acc[0];
+    return scan_min(acc, 1, n, 0, &best);
 }
 
 /* Winner index and distance of each of the n_inputs rows of xs. scratch holds
@@ -107,20 +134,23 @@ void netsom_bmu_batch(const double *weights, int64_t n_nodes, int64_t dim,
     }
 }
 
-/* h[i] = alpha * exp(-|r_c - r_i|^2 / (2 sigma^2)) for every node i of a
- * rows x cols lattice. table[|dr| * cols + |dc|] caches the exp for this
- * sigma; a negative entry (exp never is) has not been computed yet. */
-static void gaussian_row(double *restrict h, int64_t rows, int64_t cols,
+/* h[i - lo] = alpha * exp(-|r_c - r_i|^2 / (2 sigma^2)) for every node i in
+ * [lo, hi) of a lattice with cols columns. table[|dr| * cols + |dc|] caches
+ * the exp for this sigma; a negative entry (exp never is) has not been
+ * computed yet. */
+static void gaussian_row(double *restrict h, int64_t lo, int64_t hi, int64_t cols,
                          int64_t c, double alpha, double sigma,
                          double *restrict table)
 {
     const int64_t c_row = c / cols;
     const int64_t c_col = c % cols;
-    for (int64_t r = 0; r < rows; r++) {
+    for (int64_t i = lo; i < hi;) {
+        const int64_t r = i / cols;
         const int64_t dr = r - c_row;
         double *restrict g = table + (dr < 0 ? -dr : dr) * cols;
-        for (int64_t q = 0; q < cols; q++) {
-            const int64_t dc = q - c_col;
+        const int64_t row_end = (r + 1) * cols < hi ? (r + 1) * cols : hi;
+        for (; i < row_end; i++) {
+            const int64_t dc = i - r * cols - c_col;
             const int64_t key = dc < 0 ? -dc : dc;
             if (g[key] < 0.0) {
                 double fr = (double)dr;
@@ -128,7 +158,7 @@ static void gaussian_row(double *restrict h, int64_t rows, int64_t cols,
                 double lat2 = fr * fr + fc * fc;
                 g[key] = exp(-lat2 / (2.0 * sigma * sigma));
             }
-            h[r * cols + q] = alpha * g[key];
+            h[i - lo] = alpha * g[key];
         }
     }
 }
@@ -185,34 +215,89 @@ static void update(double *restrict wt, int64_t n, int64_t dim,
     }
 }
 
-/* One winner search and update per stimulus, on n_nodes weights of a lattice
- * with cols columns (n_nodes a multiple of cols). scratch holds
- * n_nodes * (dim + 3) doubles: the dim-major weights, the distances, the
- * factors and the factor table. */
+/* One part's published winners, a cache line of its own. Step t's winner
+ * goes into entry t % 2, and then stamp becomes t + 1. A part can be at
+ * most one step ahead of another, as it reads every stamp at each step, so
+ * it never overwrites an entry that another part has yet to read. */
+struct slot {
+    _Atomic int64_t stamp;
+    int64_t index[2];
+    double dist[2];
+    int64_t pad[3];
+};
+
+_Static_assert(sizeof(struct slot) == 64, "a slot fills one 64-byte line");
+
+/* Wait until the part that owns stamp has published step t: spin
+ * SPIN_ROUNDS loads, then yield the CPU between loads. */
+static void wait_for(_Atomic int64_t *stamp, int64_t t)
+{
+    for (int64_t round = 0; atomic_load_explicit(stamp, memory_order_acquire) <= t; round++)
+        if (round >= SPIN_ROUNDS)
+            sched_yield();
+}
+
+/* Step t's winner over all parts: this part's winner c at distance d goes
+ * into its slot, then the slots are read in part order and a later part's
+ * winner is kept only where it is strictly smaller. */
+static int64_t combine(struct slot *slots, int64_t part, int64_t n_parts,
+                       int64_t t, int64_t c, double d)
+{
+    const int64_t e = t % 2;
+    slots[part].index[e] = c;
+    slots[part].dist[e] = d;
+    atomic_store_explicit(&slots[part].stamp, t + 1, memory_order_release);
+    int64_t best = 0;
+    double best_d = 0.0;
+    for (int64_t q = 0; q < n_parts; q++) {
+        wait_for(&slots[q].stamp, t);
+        if (q == 0 || slots[q].dist[e] < best_d) {
+            best = slots[q].index[e];
+            best_d = slots[q].dist[e];
+        }
+    }
+    return best;
+}
+
+/* One winner search and update per stimulus, for the nodes [lo, hi) of
+ * n_nodes weights on a lattice with cols columns (n_nodes a multiple of
+ * cols): part `part` of n_parts calls made at once, which together cover
+ * every node. sync holds n_parts zeroed 64-byte slots; with one part it is
+ * not read. scratch holds (hi - lo) * (dim + 2) + n_nodes doubles: the
+ * part's dim-major weights, distances and factors, and the factor table. */
 void netsom_run_steps(double *weights, int64_t n_nodes, int64_t dim,
                       const double *xs, const int64_t *stimuli,
                       const double *alphas, const double *sigmas,
-                      int64_t n_steps, int64_t cols, double *scratch)
+                      int64_t n_steps, int64_t cols, int64_t lo, int64_t hi,
+                      int64_t part, int64_t n_parts, void *sync, double *scratch)
 {
     if (n_steps == 0)
         return;
-    const int64_t n = n_nodes;
+    const int64_t m = hi - lo;
     double *wt = scratch;
-    double *acc = wt + n * dim;
-    double *h = acc + n;
-    double *table = h + n;
-    transpose(weights, n, dim, wt);
+    double *acc = wt + m * dim;
+    double *h = acc + m;
+    double *table = h + m;
+    transpose(weights + lo * dim, m, dim, wt);
 
-    distances(wt, n, dim, xs + stimuli[0] * dim, acc);
+    distances(wt, m, dim, xs + stimuli[0] * dim, acc);
     for (int64_t t = 0; t < n_steps; t++) {
         if (t == 0 || sigmas[t] != sigmas[t - 1])
-            for (int64_t i = 0; i < n; i++)
+            for (int64_t i = 0; i < n_nodes; i++)
                 table[i] = -1.0;
         const double *x = xs + stimuli[t] * dim;
         const double *next = xs + stimuli[t + 1 < n_steps ? t + 1 : t] * dim;
-        gaussian_row(h, n / cols, cols, first_min(acc, n), alphas[t], sigmas[t], table);
-        zero_negligible_factors(h, wt, n, dim, x);
-        update(wt, n, dim, x, h, next, acc);
+        /* The first part's search is first_min's. A later part's starts
+         * below +inf, not at its first node: were that node's distance
+         * NaN, no other would compare below it. A part with no distance
+         * below +inf offers +inf, which never beats another part's winner. */
+        double d = part == 0 ? acc[0] : INFINITY;
+        int64_t c = lo + scan_min(acc, part == 0, m, 0, &d);
+        if (n_parts > 1)
+            c = combine(sync, part, n_parts, t, c, d);
+        gaussian_row(h, lo, hi, cols, c, alphas[t], sigmas[t], table);
+        zero_negligible_factors(h, wt, m, dim, x);
+        update(wt, m, dim, x, h, next, acc);
     }
-    transpose(wt, dim, n, weights);
+    transpose(wt, dim, m, weights + lo * dim);
 }

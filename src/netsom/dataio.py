@@ -316,6 +316,10 @@ def fit_normalizer(data: Dataset, method: str) -> NormalizationModel:
             checked = {"range (max - min)": maxs - mins}
         elif method == "zscore":
             means = v.mean(axis=0)
+            # The sum of a constant column near the float limit overflows;
+            # its one value is its mean. Other means stay as summed, which
+            # can differ from the value in the last bit.
+            means = np.where(degenerate & ~np.isfinite(means), mins, means)
             stds = np.sqrt(np.mean((v - means) ** 2, axis=0))
             stds = np.where(degenerate, 0.0, stds)
             stats = checked = {"mean": means, "stddev": stds}

@@ -72,7 +72,7 @@ def kernel_library(tmp_path_factory):
         pytest.skip("no C compiler (cc) to build the kernel")
     lib = tmp_path_factory.mktemp("kernel") / "_kernel.so"
     subprocess.run(
-        [cc, "-O3", "-ffp-contract=off", "-shared", "-fPIC", str(KERNEL_SOURCE),
+        [cc, "-std=c11", "-O3", "-ffp-contract=off", "-shared", "-fPIC", str(KERNEL_SOURCE),
          "-o", str(lib), "-lm"],
         check=True,
     )

@@ -199,12 +199,23 @@ class TestParallelBmuParity:
     def test_worker_moves_to_its_cpu(self):
         cpu = min(os.sched_getaffinity(0))
         seen = []
-        worker = threading.Thread(target=_core_c._search_on,
+        worker = threading.Thread(target=_core_c._run_on,
                                   args=(cpu, lambda: seen.append(os.sched_getaffinity(0)), ()))
         worker.start()
         worker.join(timeout=10)
         assert not worker.is_alive()
         assert seen == [{cpu}]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                        or len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+    def test_calling_thread_keeps_off_the_workers_cpu(self, compiled):
+        allowed = os.sched_getaffinity(0)
+        seen = {}
+        compiled._run_calls(lambda who: seen.update({who: os.sched_getaffinity(0)}),
+                            [("caller",), ("worker",)])
+        assert len(seen["worker"]) == 1
+        assert seen["caller"] == allowed - seen["worker"]
+        assert os.sched_getaffinity(0) == allowed
 
     def test_search_runs_where_the_move_fails(self, monkeypatch):
         def refuse(pid, cpus):
@@ -212,7 +223,7 @@ class TestParallelBmuParity:
 
         monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
         ran = []
-        _core_c._search_on(12345, lambda *args: ran.append(args), (1, 2))
+        _core_c._run_on(12345, lambda *args: ran.append(args), (1, 2))
         assert ran == [(1, 2)]
 
 
@@ -235,7 +246,7 @@ class TestStaleLibrary:
     arguments. (``kernel_library`` skips these where there is no cc.)"""
 
     @pytest.mark.parametrize("source, message", [(NO_ABI, "no netsom_abi"),
-                                                 (OLD_ABI, "ABI 1, not 2")])
+                                                 (OLD_ABI, f"ABI 1, not {_core_c.ABI}")])
     def test_kernel_refuses_it(self, kernel_library, tmp_path, source, message):
         with pytest.raises(ImportError, match=message):
             _core_c.Kernel(stub_library(tmp_path, source))
@@ -403,6 +414,145 @@ class TestRunStepsMatchesOracle:
         got = start.copy()
         compiled.run_steps(got, data, stimuli, alphas, sigmas, 3)
         assert_same_bits(got, oracle_steps(start, data, stimuli, alphas, sigmas, 3))
+
+
+def force_parts(monkeypatch, n_parts):
+    """Split every run_steps call of at least one step into ``n_parts`` node
+    blocks (possibly more than there are CPUs), at most one per node."""
+    monkeypatch.setattr(_core_c, "STEP_PART_MIN_TERMS", 1)
+    monkeypatch.setattr(_core_c, "STEP_CALL_MIN_TERMS", 1)
+    monkeypatch.setattr(_core_c, "_usable_cpus", lambda: n_parts)
+
+
+class TestSplitRunStepsMatchesOracle(TestRunStepsMatchesOracle):
+    """Every oracle case again, with the map's nodes split into 2 or 3 parts
+    that run at once."""
+
+    @pytest.fixture(autouse=True, params=[2, 3])
+    def parts(self, request, monkeypatch):
+        force_parts(monkeypatch, request.param)
+        return request.param
+
+    @pytest.mark.parametrize("rows, cols", [(5, 3), (1, 7), (7, 1)])
+    def test_the_map_is_split(self, parts, rows, cols):
+        blocks = _core_c._node_parts(rows * cols, 3, 1)
+        assert len(blocks) == parts
+        assert blocks[0][0] == 0 and blocks[-1][1] == rows * cols
+        assert all(a[1] == b[0] and a[0] < a[1] for a, b in zip(blocks, blocks[1:]))
+
+
+def run_in_parts(kernel, monkeypatch, n_parts, start, *args):
+    """The weights after ``kernel.run_steps(start copy, *args)`` with the
+    nodes split into ``n_parts`` parts."""
+    force_parts(monkeypatch, n_parts)
+    got = start.copy()
+    kernel.run_steps(got, *args)
+    return got
+
+
+class TestSplitRunStepsMatchesOnePart:
+    """A split step loop trains the one-part loop's weights, bit for bit."""
+
+    @pytest.mark.parametrize("n_parts", [2, 3])
+    @pytest.mark.parametrize("kind", STEPS_KINDS)
+    def test_steps_kinds(self, compiled, monkeypatch, kind, n_parts):
+        shape = GridShape(8, 8)
+        data, start, _ = steps_case(kind, np.random.default_rng(1), shape)
+        alphas, sigmas = _schedule_arrays(TrainingSchedule(total_steps=2000, sigma_start=4.0))
+        stimuli = np.random.default_rng(2).integers(0, 120, size=2000).astype(np.int64)
+        args = (data, stimuli, alphas, sigmas, shape.cols)
+        assert_same_bits(run_in_parts(compiled, monkeypatch, n_parts, start, *args),
+                         run_in_parts(compiled, monkeypatch, 1, start, *args))
+
+    @pytest.mark.parametrize("n_parts", [2, 3])
+    def test_nan_node_first_in_a_later_part(self, compiled, monkeypatch, n_parts):
+        # A part that took its first node's NaN distance as its minimum
+        # would never find a smaller one, and lose its real winners.
+        start, data, stimuli, alphas, sigmas = oracle_case(4, 4, total_steps=120)
+        last_part = _core_c._blocks(16, n_parts)[-1]
+        start[last_part[0], 1] = np.nan
+        args = (data, stimuli, alphas, sigmas, 4)
+        one = run_in_parts(compiled, monkeypatch, 1, start, *args)
+        assert_same_bits(run_in_parts(compiled, monkeypatch, n_parts, start, *args), one)
+        assert np.argwhere(np.isnan(one)).tolist() == [[last_part[0], 1]]
+
+    @pytest.mark.parametrize("n_parts", [2, 3])
+    def test_40x40_map_with_41_features(self, compiled, monkeypatch, n_parts):
+        rng = np.random.default_rng(13)
+        start = rng.uniform(0, 1, size=(1600, 41))
+        data = rng.uniform(0, 1, size=(50, 41))
+        alphas, sigmas = _schedule_arrays(
+            TrainingSchedule(total_steps=300, ordering_steps=100, sigma_start=20.0))
+        stimuli = rng.integers(0, 50, size=300).astype(np.int64)
+        args = (data, stimuli, alphas, sigmas, 40)
+        assert_same_bits(run_in_parts(compiled, monkeypatch, n_parts, start, *args),
+                         run_in_parts(compiled, monkeypatch, 1, start, *args))
+
+
+class NoThread:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a thread was started")
+
+
+class TestSplitRunStepsThreads:
+    def test_default_split_keeps_small_maps_and_calls_whole(self, monkeypatch):
+        monkeypatch.setattr(_core_c, "_usable_cpus", lambda: 4)
+        per_step = 2 * _core_c.STEP_PART_MIN_TERMS
+        many = _core_c.STEP_CALL_MIN_TERMS
+        assert _core_c._node_parts(1, per_step, many) == [(0, 1)]
+        assert _core_c._node_parts(100, (per_step - 1) // 100, many) == [(0, 100)]
+        assert len(_core_c._node_parts(100, per_step // 100, many)) == 2
+        assert len(_core_c._node_parts(1600, 41, many)) == 4
+        assert _core_c._node_parts(1600, 41, many // (1600 * 41)) == [(0, 1600)]
+
+    def test_one_cpu_or_a_small_call_starts_no_thread(self, compiled, monkeypatch):
+        start, data, stimuli, alphas, sigmas = oracle_case(5, 3)
+        expected = oracle_steps(start, data, stimuli, alphas, sigmas, 3)
+        monkeypatch.setattr(threading, "Thread", NoThread)
+        for n_cpus, min_call_terms in [(2, 1), (1, 1), (2, 60 * 15 * 3 + 1)]:
+            monkeypatch.setattr(_core_c, "STEP_PART_MIN_TERMS", 1)
+            monkeypatch.setattr(_core_c, "STEP_CALL_MIN_TERMS", min_call_terms)
+            monkeypatch.setattr(_core_c, "_usable_cpus", lambda: n_cpus)
+            got = start.copy()
+            if n_cpus == 2 and min_call_terms == 1:
+                with pytest.raises(AssertionError, match="a thread was started"):
+                    compiled.run_steps(got, data, stimuli, alphas, sigmas, 3)
+            else:
+                compiled.run_steps(got, data, stimuli, alphas, sigmas, 3)
+                assert_same_bits(got, expected)
+
+    def test_failed_thread_start_leaves_no_part_waiting(self, compiled, monkeypatch):
+        # The second of two workers cannot start. The first must not be
+        # left waiting at its first step for a part that never runs.
+        real_thread = threading.Thread
+        starts = []
+
+        class SecondFails(real_thread):
+            def start(self):
+                starts.append(self)
+                if len(starts) == 2:
+                    raise RuntimeError("can't start new thread")
+                super().start()
+
+        force_parts(monkeypatch, 3)
+        start, data, stimuli, alphas, sigmas = oracle_case(5, 3)
+        got = start.copy()
+        raised = []
+
+        def call():
+            try:
+                compiled.run_steps(got, data, stimuli, alphas, sigmas, 3)
+            except RuntimeError as exc:
+                raised.append(str(exc))
+
+        runner = real_thread(target=call, daemon=True)
+        monkeypatch.setattr(threading, "Thread", SecondFails)
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive()
+        assert raised == ["can't start new thread"]
+        assert len(starts) == 2 and not starts[0].is_alive()
+        assert_same_bits(got, start)
 
 
 def steps_args(**changes):

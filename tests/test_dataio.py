@@ -289,6 +289,24 @@ class TestNormalizer:
         out = apply_normalizer(model, ds)
         assert np.array_equal(out.vectors[:, 0], [0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("method", ["minmax", "zscore"])
+    @pytest.mark.parametrize("value", [1.7e308, -1.7e308])
+    def test_constant_column_near_the_float_limit(self, method, value):
+        # The column's sum overflows, but it is constant: degenerate, not an error.
+        ds = Dataset(vectors=np.array([[value, 1.0], [value, 2.0], [value, 3.0]]))
+        model = fit_normalizer(ds, method)
+        assert model.degenerate.tolist() == [True, False]
+        out = apply_normalizer(model, ds)
+        assert np.array_equal(out.vectors[:, 0], [0.0, 0.0, 0.0])
+        if method == "zscore":
+            assert model.stats["mean"][0] == value
+            assert model.stats["stddev"][0] == 0.0
+
+    def test_zscore_keeps_the_summed_mean_of_a_finite_constant_column(self):
+        # Three 0.1s sum to a mean one bit above 0.1, which norm.json keeps.
+        model = fit_normalizer(Dataset(vectors=np.full((3, 1), 0.1)), "zscore")
+        assert model.stats["mean"][0] == 0.10000000000000002
+
     @pytest.mark.parametrize("names, column", [(["a", "b"], "'b'"), (None, "2")])
     def test_minmax_range_that_overflows_rejected(self, names, column):
         # Every value is finite, but max - min of the second column is not.
