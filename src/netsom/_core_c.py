@@ -38,24 +38,33 @@ ABI = 3
 
 # Distance terms (rows x nodes x dim) that each block of a split bmu_batch
 # must get. A batch with fewer than twice as many stays on the calling thread:
-# starting, placing and joining a thread costs 0.1-0.3 ms. Two blocks against
-# one, 2-vCPU Xeon VM, median of 15 interleaved rounds: 0.5-0.8x as fast at
-# 0.5-1M terms, 1.07x (1600x41 map) and 1.4x (100x41 map) at 4M terms, 1.3x
-# and 1.7x at 8M terms.
+# starting, placing and joining a thread costs 0.1-0.3 ms, and each block
+# copies all the weights. Two blocks against one, 2-vCPU Xeon VM, AVX-512
+# copy of the kernel, median of 15 interleaved rounds: 0.4-0.7x as fast at
+# 0.5-1M terms; at 4M terms 0.87x on a 1600x41 map and 1.18x on a 100x41
+# map; at 8M terms 1.06x and 1.29x. The SSE2 build, measured the same way,
+# gave 1.05-1.07x and 1.4-1.5x at 4M terms; the wider kernel moves the
+# crossover up for large maps only, so the gate stays.
 PARALLEL_MIN_TERMS = 2_000_000
 
 # Node-dimension terms (nodes x dim) that each part of a split run_steps must
 # get at every step, and terms (steps x nodes x dim) that a split call must
 # have. The parts wait for each other at every step, and each call starts
-# its threads anew. Two parts against one, 2-vCPU Xeon VM, 41 features,
-# calls of 1000 steps with a winner search between them as in train, each
-# trial a new process, 4-6 trials: a 10x10 map (4100 terms a step) gained
-# nothing (about 3 ms against 2.5-4.5 ms a call, the first call up to
-# 13 ms); 15x15 and 20x20 (9225 and 16400) gained in half the trials and
-# lost the rest to waits of 5-20 ms, which a part spends when the other's
-# CPU stops running it; 25x25 (25625) won 3 of 4 trials, 30x30 and 40x40
-# won every one, 1.3-1.7x. A 40x40 map gained from calls of 300 steps
-# (20M terms) on; at 100 steps (6.6M) the first call of a process lost.
+# its threads anew. Two parts against one, 2-vCPU Xeon VM, AVX-512 copy of
+# the kernel, 41 features, calls of 1000 steps with a 500-row winner search
+# between them as in train, each trial a new process, in two sessions of 8
+# and 12 trials. A 10x10 map (4100 terms a step) gained nothing: 1-2 ms a
+# call either way, 4 of 8 and 0 of 12 trials won. At 15x15 to 30x30 (9225
+# to 36900 terms) splitting won 6-7 of 8 trials in the first session,
+# 1.4-1.7x in the median, but in the second the first split call of a
+# process waited 30-60 ms for the other part's CPU, and 15x15 won 0 of 12,
+# 20x20 to 30x30 6 of 12. 40x40 won 8 of 8, 1.1-1.8x. The SSE2 build lost
+# half its trials at 15x15 and 20x20 to such waits, and 25x25 won 3 of 4;
+# the wider kernel makes a step cheaper but not a wait, so the gate stays
+# at 25x25. In the first session a 40x40 map gained from calls of 100
+# steps (6.6M terms) on, in 8 of 8 trials; the SSE2 build's first call of
+# a process lost at 100 steps and won from 300 (20M terms), where the call
+# gate stays.
 STEP_PART_MIN_TERMS = 12_000
 STEP_CALL_MIN_TERMS = 20_000_000
 

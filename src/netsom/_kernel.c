@@ -46,6 +46,16 @@
  * entry is the double the direct expression gives, h is still alpha times
  * it, each component still gets w += h * (x - w), and the fused search
  * reads the weight just stored.
+ *
+ * On x86-64 glibc the two kernel entry points are built once per vector
+ * width (AVX-512, AVX2 and the baseline SSE2; see NETSOM_TARGETS), and the
+ * loader picks the widest the CPU runs. The width cannot change a bit
+ * either. A vector lane is a node, so a wider vector only handles more
+ * nodes at once: each lane still adds (w - x)^2 in dimension order in its
+ * own accumulator, and w += h * (x - w) is still a multiply and an add, each
+ * rounded, as -ffp-contract=off forbids fusing them and nothing here allows
+ * reassociation. The winner is still the first strict minimum, sqrt is
+ * correctly rounded at any width, and exp is still the libm call.
  */
 #define _POSIX_C_SOURCE 200809L
 
@@ -58,6 +68,23 @@
  * a library whose number differs, such as one left over from an older
  * source after a failed rebuild. Bump it whenever a signature changes. */
 #define NETSOM_ABI 3
+
+/* The attribute that builds an exported function once for AVX-512, once for
+ * AVX2 and once for the baseline, each with the static helpers it calls
+ * inlined (flatten), and has glibc's loader pick one copy per function when
+ * the library is loaded. Only x86-64 glibc with a compiler that knows
+ * target_clones gets it; any other build is one single-target copy.
+ * Compiling with -DNETSOM_TARGETS= forces the single-target build. */
+#ifndef NETSOM_TARGETS
+#if defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define NETSOM_TARGETS __attribute__((target_clones("avx512f", "avx2", "default"), flatten))
+#endif
+#endif
+#endif
+#ifndef NETSOM_TARGETS
+#define NETSOM_TARGETS
+#endif
 
 /* Loads of a slot's stamp before a waiting part starts to yield its CPU
  * between loads, so that a part waiting for that CPU gets to run. */
@@ -118,6 +145,7 @@ static int64_t first_min(const double *acc, int64_t n)
 
 /* Winner index and distance of each of the n_inputs rows of xs. scratch holds
  * n_nodes * (dim + 1) doubles: the dim-major weights and the distances. */
+NETSOM_TARGETS
 void netsom_bmu_batch(const double *weights, int64_t n_nodes, int64_t dim,
                       const double *xs, int64_t n_inputs,
                       int64_t *idx, double *dist, double *scratch)
@@ -265,6 +293,7 @@ static int64_t combine(struct slot *slots, int64_t part, int64_t n_parts,
  * every node. sync holds n_parts zeroed 64-byte slots; with one part it is
  * not read. scratch holds (hi - lo) * (dim + 2) + n_nodes doubles: the
  * part's dim-major weights, distances and factors, and the factor table. */
+NETSOM_TARGETS
 void netsom_run_steps(double *weights, int64_t n_nodes, int64_t dim,
                       const double *xs, const int64_t *stimuli,
                       const double *alphas, const double *sigmas,

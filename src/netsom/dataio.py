@@ -15,10 +15,11 @@ underscores between digits and non-ASCII decimal digits are accepted;
 Categorical features must be pre-encoded to numbers upstream (as KDD-style
 pipelines do).
 
-ASCII text with no double quote and no control character but tab, CR and
-LF is parsed by one ``np.loadtxt`` call. Any other text, and any malformed
-input, is parsed row by row, which gives the same values and names the
-1-based row and column of the first error.
+Text whose data lines are ASCII with no double quote and no control
+character but tab, CR and LF is parsed by one ``np.loadtxt`` call; its
+header line, which may be quoted, is parsed by ``csv``. Any other text, and
+any malformed input, is parsed row by row, which gives the same values and
+names the 1-based row and column of the first error.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ LABEL_NORMAL = "normal"
 LABEL_ANOMALOUS = "anomalous"
 # What the fast CSV path parses a label to; an unknown label parses to NaN.
 _LABEL_VALUES = {LABEL_NORMAL: 0.0, LABEL_ANOMALOUS: 1.0}
-# Characters that send CSV text to the row-by-row parser: the quote, which
-# csv unquotes, and the ASCII control characters but tab, LF and CR, some of
-# which np.loadtxt strips around a number where float() rejects them.
+# Characters that send CSV data lines to the row-by-row parser: the quote,
+# which csv unquotes, and the ASCII control characters but tab, LF and CR,
+# some of which np.loadtxt strips around a number where float() rejects them.
 _ROW_BY_ROW_CHARS = '"' + "".join(map(chr, (*range(9), 11, 12, *range(14, 32), 127)))
 # The per-dimension statistics each normalization method keeps.
 _STAT_KEYS = {"minmax": ("min", "max"), "zscore": ("mean", "stddev"), "none": ()}
@@ -150,27 +151,37 @@ def _load_fast(text: str, has_header: bool, label_column: str | None) -> Dataset
     ``np.loadtxt`` call, or None wherever the two parsers could disagree.
 
     Both read the same ``text.splitlines()`` and convert numbers with the
-    same correctly rounded routine, so they agree on ASCII text without
-    quotes and control characters (tab, CR and LF aside). loadtxt rejects a
-    row whose field count differs from the first row's; the header's count,
-    the row count, finite values and known labels are checked here. A None
-    sends the text to ``_load_rows``, the only code that raises
-    :class:`CsvFormatError`.
+    same correctly rounded routine, so they agree on data lines of ASCII
+    text without quotes and control characters (tab, CR and LF aside). The
+    header line is read by ``csv``, as ``_load_rows`` reads it, unless a
+    quoted field runs on past it, which would shift the row numbers.
+    loadtxt rejects a row whose field count differs from the first row's;
+    the header's count, the row count, finite values and known labels are
+    checked here. A None sends the text to ``_load_rows``, the only code
+    that raises :class:`CsvFormatError`.
     """
     import warnings
 
-    if not text.isascii() or any(c in text for c in _ROW_BY_ROW_CHARS):
-        return None
     lines = text.splitlines()
+    # Only the data lines must be plain. The whole text is tested first,
+    # which spares a copy of the data lines when it passes.
+    if not _plain(text) and not (has_header and lines and _plain(text[len(lines[0]):])):
+        return None
     body = lines[1:] if has_header else lines
     rows = len(body) - body.count("")  # csv reads no row from an empty line
     if rows == 0 or (label_column is not None and not has_header):
         return None
-    first = lines[0] if has_header else next(line for line in body if line)
-    if not first:  # csv reads an empty header line as no fields, not one
+    if has_header:
+        reader = csv.reader(lines)
+        header = next(reader)
+        if reader.line_num != 1:
+            return None
+    else:
+        header = next(line for line in body if line).split(",")
+    if not header:  # csv reads an empty header line as no fields, not one
         return None
-    fields = first.count(",") + 1
-    names = [h.strip() for h in first.split(",")] if has_header else None
+    fields = len(header)
+    names = [h.strip() for h in header] if has_header else None
     label_idx = None
     converters = None
     if label_column is not None:
@@ -197,6 +208,11 @@ def _load_fast(text: str, has_header: bool, label_column: str | None) -> Dataset
         column_names=names,
         labels=data[:, label_idx] == _LABEL_VALUES[LABEL_ANOMALOUS],
     )
+
+
+def _plain(text: str) -> bool:
+    """True if ``text`` is ASCII with none of :data:`_ROW_BY_ROW_CHARS`."""
+    return text.isascii() and not any(c in text for c in _ROW_BY_ROW_CHARS)
 
 
 def _load_rows(text: str, has_header: bool, label_column: str | None) -> Dataset:

@@ -62,27 +62,48 @@ def bounds_of(data: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------- fixtures
 
 
-@pytest.fixture(scope="session")
-def kernel_library(tmp_path_factory):
-    """Path of the C kernel compiled from source into a temp directory, so
-    parity tests run whether or not the package's own extension was built.
-    Skips only when there is no C compiler."""
+def _build_kernel(directory: Path, *flags: str) -> Path:
+    """The C kernel compiled from source with cc and ``flags`` into
+    ``directory``. Skips only when there is no C compiler."""
     cc = shutil.which("cc")
     if cc is None:
         pytest.skip("no C compiler (cc) to build the kernel")
-    lib = tmp_path_factory.mktemp("kernel") / "_kernel.so"
+    lib = directory / "_kernel.so"
     subprocess.run(
-        [cc, "-std=c11", "-O3", "-ffp-contract=off", "-shared", "-fPIC", str(KERNEL_SOURCE),
-         "-o", str(lib), "-lm"],
+        [cc, "-std=c11", "-O3", "-ffp-contract=off", *flags, "-shared", "-fPIC",
+         str(KERNEL_SOURCE), "-o", str(lib), "-lm"],
         check=True,
     )
     return lib
 
 
 @pytest.fixture(scope="session")
+def kernel_library(tmp_path_factory):
+    """Path of the C kernel compiled from source into a temp directory, so
+    parity tests run whether or not the package's own extension was built.
+    On x86-64 glibc it holds a copy of each entry point per vector width,
+    and the loader picks the widest this CPU runs."""
+    return _build_kernel(tmp_path_factory.mktemp("kernel"))
+
+
+@pytest.fixture(scope="session")
+def single_target_library(tmp_path_factory):
+    """Path of the C kernel compiled like :func:`kernel_library` but with
+    ``-DNETSOM_TARGETS=``: one copy of each entry point, for the compiler's
+    baseline target (SSE2 on x86-64), the code a CPU without AVX2 runs."""
+    return _build_kernel(tmp_path_factory.mktemp("kernel_single"), "-DNETSOM_TARGETS=")
+
+
+@pytest.fixture(scope="session")
 def compiled(kernel_library):
     """The kernel of :func:`kernel_library`, bound through ctypes."""
     return _core_c.Kernel(kernel_library)
+
+
+@pytest.fixture(scope="session")
+def single_target(single_target_library):
+    """The kernel of :func:`single_target_library`, bound through ctypes."""
+    return _core_c.Kernel(single_target_library)
 
 
 # ----------------------------------------------------------------- oracles

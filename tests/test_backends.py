@@ -489,6 +489,94 @@ class TestSplitRunStepsMatchesOnePart:
                          run_in_parts(compiled, monkeypatch, 1, start, *args))
 
 
+class OnTheSingleTargetBuild:
+    """Put first in a test class's bases, it runs that class's tests against
+    the single-target build of the kernel instead of the dispatched one."""
+
+    @pytest.fixture
+    def compiled(self, single_target):
+        return single_target
+
+
+class TestBmuParitySingleTarget(OnTheSingleTargetBuild, TestBmuParity):
+    pass
+
+
+class TestParallelBmuParitySingleTarget(OnTheSingleTargetBuild, TestParallelBmuParity):
+    pass
+
+
+class TestRunStepsParitySingleTarget(OnTheSingleTargetBuild, TestRunStepsParity):
+    pass
+
+
+class TestRunStepsMatchesOracleSingleTarget(OnTheSingleTargetBuild, TestRunStepsMatchesOracle):
+    pass
+
+
+class TestSplitRunStepsMatchesOracleSingleTarget(OnTheSingleTargetBuild,
+                                                 TestSplitRunStepsMatchesOracle):
+    pass
+
+
+class TestSplitRunStepsMatchesOnePartSingleTarget(OnTheSingleTargetBuild,
+                                                  TestSplitRunStepsMatchesOnePart):
+    pass
+
+
+def builds_agree_case(kind):
+    """(start weights, data, stimuli, alphas, sigmas, cols) of one run that
+    the dispatched and single-target builds must train alike."""
+    rng = np.random.default_rng(14)
+    if kind == "40x40_default_schedule":
+        shape = GridShape(40, 40)
+        start = rng.uniform(0, 1, size=(1600, 41))
+        data = rng.uniform(0, 1, size=(200, 41))
+        schedule = TrainingSchedule.default_for(shape, total_steps=4000)
+    else:
+        # 63 nodes and 5 features: no vector width divides either.
+        shape = GridShape(9, 7)
+        start = rng.uniform(0, 1, size=(63, 5))
+        data = rng.uniform(0, 1, size=(40, 5))
+        schedule = TrainingSchedule(total_steps=600, ordering_steps=200, sigma_start=4.5)
+    alphas, sigmas = _schedule_arrays(schedule)
+    if kind == "exact_ties":
+        start = rng.integers(0, 3, size=start.shape) / 2.0
+        data = rng.integers(0, 3, size=data.shape) / 2.0
+    elif kind == "nan_node_and_inf_component":
+        start[17] = np.nan
+        data[5, 2] = np.inf
+    elif kind == "subnormal_factors":
+        # Weights on both sides of the 2^-200 test, and a sigma that leaves
+        # a ring of subnormal factors three lattice units from the winner.
+        start = 2.0 ** rng.uniform(-210, -190, size=start.shape)
+        data = 2.0 ** rng.uniform(-210, -190, size=data.shape)
+        sigmas = np.full(len(sigmas), 0.08)
+    stimuli = rng.integers(0, len(data), size=len(alphas)).astype(np.int64)
+    return (np.ascontiguousarray(start), np.ascontiguousarray(data), stimuli, alphas, sigmas,
+            shape.cols)
+
+
+class TestBuildsAgree:
+    """The kernel built once per vector width, with the loader picking one
+    copy, gives the single-target build's weights, winners and distances,
+    bit for bit."""
+
+    @pytest.mark.parametrize("n_parts", [1, 2])
+    @pytest.mark.parametrize("kind", ["40x40_default_schedule", "exact_ties",
+                                      "nan_node_and_inf_component", "subnormal_factors"])
+    def test_steps_and_search(self, compiled, single_target, monkeypatch, kind, n_parts):
+        start, data, *args = builds_agree_case(kind)
+        trained = run_in_parts(compiled, monkeypatch, n_parts, start, data, *args)
+        assert_same_bits(trained,
+                         run_in_parts(single_target, monkeypatch, n_parts, start, data, *args))
+        for weights in (start, trained):
+            i_c, d_c = compiled.bmu_batch(weights, data)
+            i_s, d_s = single_target.bmu_batch(weights, data)
+            np.testing.assert_array_equal(i_c, i_s)
+            assert_same_bits(d_c, d_s)
+
+
 class NoThread:
     def __init__(self, *args, **kwargs):
         raise AssertionError("a thread was started")

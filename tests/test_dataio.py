@@ -218,6 +218,47 @@ class TestLoadCsv:
         assert ds.column_names is None
         assert np.array_equal(ds.vectors, [[1.0, 2.0], [3.0, 4.0]])
 
+    def test_quoted_header_takes_the_fast_path(self, monkeypatch):
+        # A spreadsheet export quotes its header; only the data lines decide.
+        body = b"1,normal,-2.5e-3\r\n+7,anomalous,.5\r\n"
+        plain = load_csv(b"a,label,b c\r\n" + body, label_column="label")
+
+        def row_by_row(*args):
+            raise AssertionError("parsed row by row")
+
+        monkeypatch.setattr(dataio, "_load_rows", row_by_row)
+        quoted = load_csv(b'"a","label","b c"\r\n' + body, label_column="label")
+        assert _outcome(lambda: quoted) == _outcome(lambda: plain)
+        ds = load_csv('"naïve, or not",b\n1,2\n'.encode())
+        assert ds.column_names == ["naïve, or not", "b"]
+        assert ds.vectors.tolist() == [[1.0, 2.0]]
+
+    @pytest.mark.parametrize("text", [
+        '"a","b"\n1,"2"\n',  # a quoted data field
+        '"a","b"\n1,٢\n',  # a non-ASCII data field
+        '"a\nb",c\n1,2\n',  # a header field that runs on past its line
+    ])
+    def test_quoted_or_odd_data_takes_the_row_by_row_path(self, monkeypatch, text):
+        calls = []
+        row_by_row = dataio._load_rows
+        monkeypatch.setattr(dataio, "_load_rows", lambda *args: calls.append(args) or
+                            row_by_row(*args))
+        ds = load_csv(text.encode())
+        assert len(calls) == 1
+        assert _outcome(lambda: ds) == _outcome(lambda: row_by_row(text, True, None))
+
+    @pytest.mark.parametrize("data, message", [
+        (b'"a","b"\n1,2\n3,x\n', "not a number: 'x' (row 3, column 2)"),
+        (b'"a","b"\n1,2\n\n3\n', "expected 2 fields, found 1 (row 4)"),
+        (b'"x","label"\n1,normal\n2,Normal\n',
+         "label must be 'normal' or 'anomalous', got 'Normal' (row 3, column 2)"),
+    ])
+    def test_quoted_header_keeps_row_and_column_in_errors(self, data, message):
+        label_column = "label" if b"label" in data else None
+        with pytest.raises(CsvFormatError) as raised:
+            load_csv(data, label_column=label_column)
+        assert str(raised.value) == message
+
     @settings(max_examples=300)
     @given(csv_texts())
     def test_fast_path_matches_row_by_row(self, case):
