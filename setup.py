@@ -17,12 +17,13 @@ setup(
             # the loader picks the widest the CPU runs (NETSOM_TARGETS in
             # _kernel.c), with the same results at every width. On a 2-vCPU
             # Xeon VM the AVX-512 copy ran 8000 steps of a 40x40 map with 41
-            # features in two parts in 170 ms, against 240 ms for SSE2, and
-            # searched 3000 rows against it in 28 ms, against 44 ms.
-            # -falign-functions=64: each function starts a cache
-            # line, so an edit to one does not move the others' loops across
-            # fetch boundaries; one that moved netsom_bmu_batch by 16 bytes
-            # made a split 100-node, 1000-row search 15% slower (median).
+            # features in two parts in 283 ms, against 392 ms for SSE2, and
+            # searched 3000 rows against it in 28.5 ms, against 49.2 ms
+            # (medians of 11 new processes). -falign-functions=64: each
+            # function starts a cache line, so an edit to one does not move
+            # the others' loops across fetch boundaries; one that moved
+            # netsom_bmu_batch by 16 bytes made a split 100-node, 1000-row
+            # search 15% slower (median).
             extra_compile_args=["-std=c11", "-O3", "-ffp-contract=off",
                                 "-falign-functions=64"],
             libraries=["m"],

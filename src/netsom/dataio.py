@@ -173,7 +173,10 @@ def _load_fast(text: str, has_header: bool, label_column: str | None) -> Dataset
         return None
     if has_header:
         reader = csv.reader(lines)
-        header = next(reader)
+        try:
+            header = next(reader)
+        except csv.Error:
+            return None
         if reader.line_num != 1:
             return None
     else:
@@ -219,8 +222,12 @@ def _load_rows(text: str, has_header: bool, label_column: str | None) -> Dataset
     """Parse ``text`` row by row with :mod:`csv` and ``float()``; the
     reference for :func:`_load_fast` and the source of every diagnostic."""
     lines = text.splitlines()
-    reader = csv.reader(lines)
-    rows = list(reader)
+    rows: list[list[str]] = []
+    try:
+        for row in csv.reader(lines):
+            rows.append(row)
+    except csv.Error as exc:  # such as a quoted field longer than csv's limit
+        raise CsvFormatError(str(exc), row=len(rows) + 1) from None
     if not rows:
         raise CsvFormatError("empty input: no rows")
     if label_column is not None and not has_header:

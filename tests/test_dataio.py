@@ -1,3 +1,4 @@
+import csv
 import io
 import os
 
@@ -252,6 +253,11 @@ class TestLoadCsv:
         (b'"a","b"\n1,2\n\n3\n', "expected 2 fields, found 1 (row 4)"),
         (b'"x","label"\n1,normal\n2,Normal\n',
          "label must be 'normal' or 'anomalous', got 'Normal' (row 3, column 2)"),
+        # A header quote that never closes: csv reads on until the field
+        # outgrows its size limit.
+        pytest.param(b'"a,b\n' + b"1,2\n" * 50_000,
+                     f"field larger than field limit ({csv.field_size_limit()}) (row 1)",
+                     id="unclosed-header-quote"),
     ])
     def test_quoted_header_keeps_row_and_column_in_errors(self, data, message):
         label_column = "label" if b"label" in data else None
