@@ -9,7 +9,6 @@ the boundary counts as normal.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, replace
 
@@ -137,19 +136,22 @@ def evaluate(baseline: AnomalyBaseline, labeled: Dataset) -> EvalSummary:
     )
 
 
-def verdicts_to_csv(verdicts, destination=None) -> str:
-    """Render verdicts as CSV (header ``index,bmu,residual,is_anomalous``),
-    one row per input in input order. Writes to ``destination`` when given,
-    atomically when it is a path."""
-    out = io.StringIO()
-    out.write(VERDICT_CSV_HEADER + "\n")
-    for v in verdicts:
-        flag = "true" if v.is_anomalous else "false"
-        out.write(f"{v.input_index},{v.bmu},{repr(v.residual)},{flag}\n")
-    payload = out.getvalue()
+def render_verdicts(rows, destination=None) -> str:
+    """Render ``(index, bmu, residual, is_anomalous)`` rows as CSV with the header
+    ``index,bmu,residual,is_anomalous``, in the order given. Values are Python
+    scalars, as ``.tolist()`` gives them, so a residual prints as a float's ``repr``.
+    Writes to ``destination`` when given, atomically when it is a path."""
+    lines = [f"{i},{bmu},{r!r},{'true' if flag else 'false'}\n" for i, bmu, r, flag in rows]
+    payload = VERDICT_CSV_HEADER + "\n" + "".join(lines)
     if destination is not None:
         write_text(destination, payload)
     return payload
+
+
+def verdicts_to_csv(verdicts, destination=None) -> str:
+    """Render verdicts as CSV in the order given, through ``render_verdicts``."""
+    rows = ((v.input_index, v.bmu, v.residual, v.is_anomalous) for v in verdicts)
+    return render_verdicts(rows, destination)
 
 
 def baseline_to_json_dict(baseline: AnomalyBaseline) -> dict:

@@ -25,13 +25,15 @@ from netsom.anomaly import (
     baseline_to_json_dict,
     calibrate,
     evaluate,
-    score_batch,
-    verdicts_to_csv,
+    render_verdicts,
+    residuals,
 )
 from netsom.core import (
     ALPHA_END_DEFAULT,
     ALPHA_MID_DEFAULT,
     ALPHA_START_DEFAULT,
+    PERCENTILE_DEFAULT,
+    QE_SAMPLES_DEFAULT,
     SIGMA_END_DEFAULT,
     STEPS_PER_UNIT_DEFAULT,
     GridShape,
@@ -112,11 +114,9 @@ def run_train(args) -> int:
         alpha_end=args.alpha_end,
         **{name: value for name, value in overrides.items() if value is not None},
     )
-    qe_every = (
-        args.qe_sample_every
-        if args.qe_sample_every is not None
-        else max(1, schedule.total_steps // 10)
-    )
+    qe_every = args.qe_sample_every
+    if qe_every is None:
+        qe_every = max(1, schedule.total_steps // QE_SAMPLES_DEFAULT)
 
     som = initialize(shape, normalized.dim, _bounds_of(normalized), init_seed)
     trained, report = train(
@@ -162,17 +162,15 @@ def run_umatrix(args) -> int:
 
 
 def run_detect(args) -> int:
-    model, baseline = _load_pipeline(args)
-    scoring = load_csv(args.input, has_header=not args.no_header, label_column=args.label_column)
-    scored = apply_normalizer(model, scoring)
-    verdicts = score_batch(baseline, scored.vectors)
+    baseline, scored = _load_pipeline(args, input_has_header=not args.no_header)
+    bmu, residual, flags = residuals(baseline, scored.vectors)
 
-    verdicts_to_csv(verdicts, args.out)
+    total = len(flags)
+    render_verdicts(zip(range(total), bmu.tolist(), residual.tolist(), flags.tolist()), args.out)
     if args.save_baseline is not None:
         _write_json(args.save_baseline, baseline_to_json_dict(baseline))
 
-    total = len(verdicts)
-    flagged = sum(1 for v in verdicts if v.is_anomalous)
+    flagged = int(flags.sum())
     print(f"total: {total}")
     print(f"anomalous: {flagged}")
     print(f"rate: {flagged / total:.4f}")
@@ -180,10 +178,8 @@ def run_detect(args) -> int:
 
 
 def run_eval(args) -> int:
-    model, baseline = _load_pipeline(args)
-    labeled = load_csv(args.input, has_header=True, label_column=args.label_column)
-    scored = apply_normalizer(model, labeled)
-    summary = evaluate(baseline, scored)
+    baseline, labeled = _load_pipeline(args, input_has_header=True)
+    summary = evaluate(baseline, labeled)
 
     print(
         f"TP: {summary.true_positives}  FP: {summary.false_positives}  "
@@ -203,8 +199,13 @@ def run_eval(args) -> int:
     return 0
 
 
-def _load_pipeline(args):
-    """Load map + persisted normalizer, then build or load the baseline."""
+def _load_pipeline(args, input_has_header: bool):
+    """The baseline, loaded or calibrated, and the normalized input CSV."""
+    # With --baseline nothing is calibrated, so a calibration flag would be ignored.
+    if args.baseline is not None:
+        for flag in args.calibration_only:
+            if getattr(args, flag[2:].replace("-", "_")) is not None:
+                args.usage_error(f"argument {flag}: not allowed with argument --baseline")
     som = load_map(args.map)
     norm_path = _normalizer_path(args.map, args.normalizer)
     if not Path(norm_path).is_file():
@@ -214,17 +215,16 @@ def _load_pipeline(args):
         )
     model = normalizer_from_json_dict(_read_json(norm_path, "normalizer"))
 
+    def normalized(path, has_header, label_column):
+        return apply_normalizer(model, load_csv(path, has_header, label_column))
+
     if args.baseline is not None:
         baseline = baseline_from_json_dict(_read_json(args.baseline, "baseline"), som)
     else:
-        cal = load_csv(
-            args.calibration,
-            has_header=not args.no_header,
-            label_column=args.calibration_label_column,
-        )
-        cal = apply_normalizer(model, cal)
-        baseline = calibrate(som, cal.vectors, args.percentile)
-    return model, baseline
+        cal = normalized(args.calibration, not args.no_header, args.calibration_label_column)
+        percentile = PERCENTILE_DEFAULT if args.percentile is None else args.percentile
+        baseline = calibrate(som, cal.vectors, percentile)
+    return baseline, normalized(args.input, input_has_header, args.label_column)
 
 
 def _bounds_of(dataset: Dataset) -> np.ndarray:
@@ -290,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="default: max(rows, cols) / 2, but at least --sigma-end")
     p_train.add_argument("--sigma-end", type=float, default=SIGMA_END_DEFAULT)
     p_train.add_argument("--qe-sample-every", type=int, default=None,
-                         help="default: total steps / 10")
+                         help=f"default: total steps / {QE_SAMPLES_DEFAULT}")
     p_train.add_argument("--qe-threshold", type=float, default=None,
                          help="stop early once quantization error falls below this")
     p_train.add_argument("--split", default=None, metavar="TRAIN,CAL,TEST",
@@ -315,27 +315,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p_det.set_defaults(func=run_detect)
 
     p_eval = sub.add_parser("eval", help="evaluate detection against labeled data")
-    _add_pipeline_flags(p_eval)
+    _add_pipeline_flags(p_eval, "--no-header")
     p_eval.add_argument("--label-column", default="label",
                         help="label column of the scored CSV (default: label)")
-    p_eval.add_argument("--no-header", action="store_true",
+    p_eval.add_argument("--no-header", action="store_true", default=None,
                         help="calibration CSV has no header line")
     p_eval.set_defaults(func=run_eval)
 
     return parser
 
 
-def _add_pipeline_flags(p) -> None:
+def _add_pipeline_flags(p, *calibration_only) -> None:
     p.add_argument("--map", required=True)
     p.add_argument("--normalizer", default=None,
                    help="persisted normalizer (default: <map>.norm.json)")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--calibration", default=None, help="normal-data CSV for calibration")
     source.add_argument("--baseline", default=None, help="previously saved baseline JSON")
-    p.add_argument("--percentile", type=float, default=99.0)
+    p.add_argument("--percentile", type=float, default=None, help=f"default: {PERCENTILE_DEFAULT}")
     p.add_argument("--calibration-label-column", default=None,
                    help="label column to strip from the calibration CSV, if any")
     p.add_argument("--input", required=True, help="CSV of vectors to score")
+    calibration_only = ("--percentile", "--calibration-label-column", *calibration_only)
+    p.set_defaults(usage_error=p.error, calibration_only=calibration_only)
 
 
 def _add_csv_flags(p) -> None:

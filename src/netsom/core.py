@@ -28,6 +28,8 @@ ALPHA_START_DEFAULT = 0.9
 ALPHA_MID_DEFAULT = 0.2
 ALPHA_END_DEFAULT = 0.01
 SIGMA_END_DEFAULT = 1.0
+QE_SAMPLES_DEFAULT = 10
+PERCENTILE_DEFAULT = 99.0
 
 _MAX_SEED = 2**64
 

@@ -9,10 +9,25 @@ import pytest
 
 import netsom
 from conftest import two_cluster_data
-from netsom.anomaly import AnomalyBaseline, baseline_to_json_dict
+from netsom.anomaly import (
+    AnomalyBaseline,
+    baseline_from_json_dict,
+    baseline_to_json_dict,
+    calibrate,
+    residuals,
+    score_batch,
+    verdicts_to_csv,
+)
 from netsom.cli import main
 from netsom.core import SomMap
-from netsom.dataio import Dataset, fit_normalizer, normalizer_to_json_dict
+from netsom.dataio import (
+    Dataset,
+    apply_normalizer,
+    fit_normalizer,
+    load_csv,
+    normalizer_from_json_dict,
+    normalizer_to_json_dict,
+)
 from netsom.grid import GridShape
 from netsom.mapfile import load_map, save_map
 from netsom.umatrix import compute_umatrix, export_umatrix
@@ -246,8 +261,16 @@ class TestDetectCommand:
             (["--calibration", "c.csv", "--baseline", "b.json"],
              "argument --baseline: not allowed with argument --calibration"),
             ([], "one of the arguments --calibration --baseline is required"),
+            # A saved baseline is not recalibrated, so these flags would do nothing.
+            (["--baseline", "b.json", "--percentile", "50"],
+             "argument --percentile: not allowed with argument --baseline"),
+            (["--baseline", "b.json", "--percentile", "99"],
+             "argument --percentile: not allowed with argument --baseline"),
+            (["--baseline", "b.json", "--calibration-label-column", "label"],
+             "argument --calibration-label-column: not allowed with argument --baseline"),
         ],
-        ids=["both", "neither"],
+        ids=["both", "neither", "baseline-percentile", "baseline-default-percentile",
+             "baseline-calibration-label"],
     )
     def test_calibration_or_baseline_exactly_one(self, tmp_path, capsys, command,
                                                  sources, message):
@@ -262,6 +285,19 @@ class TestDetectCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines()[-1] == f"netsom {command}: error: {message}"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_eval_no_header_refused_with_baseline(self, tmp_path, capsys):
+        # eval's --no-header only names the calibration CSV's header; detect's
+        # also covers the scored CSV and stays allowed (TestDetectMatchesLibrary).
+        argv = ["eval", "--map", str(tmp_path / "m.som"), "--baseline", str(tmp_path / "b.json"),
+                "--input", str(tmp_path / "x.csv"), "--no-header"]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "netsom eval: error: argument --no-header: not allowed with argument --baseline"
+        )
         assert list(tmp_path.iterdir()) == []
 
     def test_self_scoring_at_percentile_100_flags_nothing(self, tmp_path, normal_cluster, capsys):
@@ -396,6 +432,7 @@ class TestDetectCommand:
         assert rc == 0
         payload = json.loads(baseline_path.read_text())
         assert payload["format_version"] == 1
+        assert payload["percentile"] == 99.0
         capsys.readouterr()
         rc = main([
             "detect", "--map", str(out), "--baseline", str(baseline_path),
@@ -442,6 +479,66 @@ class TestDetectCommand:
         assert "error: disk full" in capsys.readouterr().err
         assert verdicts.read_bytes() == b"old verdicts\n"
         assert not any(p.name.endswith(".tmp") for p in tmp_path.iterdir())
+
+
+class TestDetectMatchesLibrary:
+    """detect's verdict file and counts are the library's, byte for byte."""
+
+    def _pipeline(self, tmp_path):
+        """A 2x2 map on the unit square with the identity normalizer, and
+        inputs that lie at equal distance from two or four nodes, many of
+        them at residual 0.5."""
+        weights = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+        map_path = tmp_path / "m.som"
+        save_map(SomMap(GridShape(2, 2), weights, seed=0), map_path)
+        model = fit_normalizer(Dataset(vectors=np.zeros((1, 2))), "none")
+        (tmp_path / "m.som.norm.json").write_text(json.dumps(normalizer_to_json_dict(model)))
+        points = [(0.5, 0.0), (0.5, 0.5), (0.0, 0.0), (2.0, 2.0), (1.5, 1.0),
+                  (0.5, 1.0), (0.0, 0.5), (0.25, 0.25), (1.0, -0.5)] * 3
+        return map_path, points
+
+    def _library(self, map_path, input_path, has_header, baseline):
+        model = normalizer_from_json_dict(json.loads(Path(f"{map_path}.norm.json").read_text()))
+        scored = apply_normalizer(model, load_csv(input_path, has_header=has_header))
+        text = verdicts_to_csv(score_batch(baseline, scored.vectors))
+        bmu, residual, flagged = residuals(baseline, scored.vectors)
+        total, anomalous = len(flagged), int(flagged.sum())
+        assert baseline.threshold in residual.tolist()
+        assert 0 < anomalous < total
+        return text, f"total: {total}\nanomalous: {anomalous}\nrate: {anomalous / total:.4f}\n"
+
+    def test_with_saved_baseline(self, tmp_path, capsys):
+        map_path, points = self._pipeline(tmp_path)
+        som = load_map(map_path)
+        baseline_path = tmp_path / "b.json"
+        baseline_path.write_text(json.dumps(
+            baseline_to_json_dict(AnomalyBaseline(som, 0.5, 99.0, 10))
+        ))
+        # --no-header applies to the scored CSV, so it is allowed with --baseline.
+        input_path = write_csv(tmp_path / "x.csv", points)
+        verdicts = tmp_path / "v.csv"
+        rc = main(["detect", "--map", str(map_path), "--baseline", str(baseline_path),
+                   "--input", input_path, "--no-header", "--out", str(verdicts)])
+        assert rc == 0
+        baseline = baseline_from_json_dict(json.loads(baseline_path.read_text()), som)
+        text, counts = self._library(map_path, input_path, False, baseline)
+        assert verdicts.read_bytes() == text.encode()
+        assert capsys.readouterr().out == counts
+
+    def test_with_calibration(self, tmp_path, capsys):
+        map_path, points = self._pipeline(tmp_path)
+        input_path = write_csv(tmp_path / "x.csv", points, header=["a", "b"])
+        verdicts, saved = tmp_path / "v.csv", tmp_path / "b.json"
+        rc = main(["detect", "--map", str(map_path), "--calibration", input_path,
+                   "--percentile", "50", "--input", input_path, "--out", str(verdicts),
+                   "--save-baseline", str(saved)])
+        assert rc == 0
+        som = load_map(map_path)
+        baseline = calibrate(som, np.array(points), 50.0)
+        assert baseline_from_json_dict(json.loads(saved.read_text()), som) == baseline
+        text, counts = self._library(map_path, input_path, True, baseline)
+        assert verdicts.read_bytes() == text.encode()
+        assert capsys.readouterr().out == counts
 
 
 class TestEvalCommand:
@@ -498,6 +595,19 @@ class TestEvalCommand:
         out = capsys.readouterr().out
         assert "no anomalous-labeled rows" in out
         assert out.splitlines()[-1] == "0,1,1,0,0.0000,0.5000"
+
+    def test_no_header_applies_to_the_calibration_csv(self, tmp_path, capsys):
+        map_path, _ = self._fixture(tmp_path)
+        calibration = tmp_path / "cal.csv"
+        calibration.write_text("0.5\n1.0\n")
+        labeled = tmp_path / "labeled.csv"
+        labeled.write_text("x,label\n5.0,anomalous\n0.1,normal\n1.0,normal\n")
+        rc = main([
+            "eval", "--map", str(map_path), "--calibration", str(calibration),
+            "--no-header", "--percentile", "100", "--input", str(labeled),
+        ])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "1,0,2,0,1.0000,0.0000"
 
     def test_missing_label_column(self, tmp_path, capsys):
         map_path, baseline_path = self._fixture(tmp_path)
