@@ -36,7 +36,8 @@ from netsom.mapfile import write_text
 
 LABEL_NORMAL = "normal"
 LABEL_ANOMALOUS = "anomalous"
-# What the fast CSV path parses a label to; an unknown label parses to NaN.
+# What both CSV parsers parse a label to; on the fast path an unknown label
+# parses to NaN.
 _LABEL_VALUES = {LABEL_NORMAL: 0.0, LABEL_ANOMALOUS: 1.0}
 # Characters that send CSV data lines to the row-by-row parser: the quote,
 # which csv unquotes, and the ASCII control characters but tab, LF and CR,
@@ -220,24 +221,50 @@ def _plain(text: str) -> bool:
 
 def _load_rows(text: str, has_header: bool, label_column: str | None) -> Dataset:
     """Parse ``text`` row by row with :mod:`csv` and ``float()``; the
-    reference for :func:`_load_fast` and the source of every diagnostic."""
-    lines = text.splitlines()
-    rows: list[list[str]] = []
+    reference for :func:`_load_fast` and the source of every diagnostic.
+
+    Each record is converted as csv reads it, into one float64 buffer. The
+    first bad record's error is raised once csv has read the rest of the
+    text, since a csv error comes first wherever it is.
+    """
+    records = _records(text.splitlines())
     try:
-        for row in csv.reader(lines):
-            rows.append(row)
+        return _convert_records(records, has_header, label_column)
+    except CsvFormatError:
+        for _ in records:
+            pass
+        raise
+
+
+def _records(lines):
+    """The records :mod:`csv` reads from ``lines``; a csv error raises
+    :class:`CsvFormatError` naming the record where it began."""
+    count = 0
+    try:
+        for count, row in enumerate(csv.reader(lines), 1):
+            yield row
     except csv.Error as exc:  # such as a quoted field longer than csv's limit
-        raise CsvFormatError(str(exc), row=len(rows) + 1) from None
-    if not rows:
+        raise CsvFormatError(str(exc), row=count + 1) from None
+
+
+def _convert_records(records, has_header: bool, label_column: str | None) -> Dataset:
+    """The dataset :func:`_load_rows` reads from ``records``, or the
+    :class:`CsvFormatError` of the first bad one."""
+    import array
+    import itertools
+
+    first = next(records, None)
+    if first is None:
         raise CsvFormatError("empty input: no rows")
     if label_column is not None and not has_header:
         raise CsvFormatError("a label column requires a header line")
 
     names: list[str] | None = None
     label_idx: int | None = None
-    start = 0
+    expected: int | None = None
+    lineno = 0
     if has_header:
-        header = [h.strip() for h in rows[0]]
+        header = [h.strip() for h in first]
         if label_column is not None:
             if label_column not in header:
                 raise CsvFormatError(f"label column {label_column!r} not found in header")
@@ -245,14 +272,16 @@ def _load_rows(text: str, has_header: bool, label_column: str | None) -> Dataset
             names = [h for i, h in enumerate(header) if i != label_idx]
         else:
             names = header
-        start = 1
+        expected = len(first)
+        lineno = 1
+    else:
+        records = itertools.chain([first], records)
 
-    vectors: list[list[float]] = []
-    labels: list[bool] = []
-    expected: int | None = len(rows[0]) if has_header else None
-    for r in range(start, len(rows)):
-        row = rows[r]
-        lineno = r + 1
+    values = array.array("d")
+    labels: list[float] = []
+    rows = 0
+    for row in records:
+        lineno += 1
         if not row:  # blank line
             continue
         if expected is None:
@@ -261,45 +290,57 @@ def _load_rows(text: str, has_header: bool, label_column: str | None) -> Dataset
             raise CsvFormatError(
                 f"expected {expected} fields, found {len(row)}", row=lineno
             )
-        values: list[float] = []
-        for c, field in enumerate(row):
-            colno = c + 1
-            if c == label_idx:
-                lab = field.strip()
-                if lab == LABEL_NORMAL:
-                    labels.append(False)
-                elif lab == LABEL_ANOMALOUS:
-                    labels.append(True)
-                else:
-                    raise CsvFormatError(
-                        f"label must be '{LABEL_NORMAL}' or '{LABEL_ANOMALOUS}', got {field!r}",
-                        row=lineno,
-                        column=colno,
-                    )
-                continue
-            try:
-                value = float(field)
-            except ValueError:
-                raise CsvFormatError(
-                    f"not a number: {field!r}", row=lineno, column=colno
-                ) from None
-            if not math.isfinite(value):
-                raise CsvFormatError(
-                    f"non-finite value: {field!r}", row=lineno, column=colno
-                )
-            values.append(value)
-        vectors.append(values)
+        try:
+            if label_idx is None:
+                converted = list(map(float, row))
+            else:
+                labels.append(_LABEL_VALUES[row[label_idx].strip()])
+                converted = list(map(float, row[:label_idx] + row[label_idx + 1:]))
+            # A NaN or infinity makes the sum non-finite; so does an overflow
+            # of finite values, which _check_fields lets through.
+            valid = math.isfinite(sum(converted))
+        except (KeyError, ValueError):
+            valid = False
+        if not valid:
+            _check_fields(row, lineno, label_idx)
+        values.extend(converted)
+        rows += 1
 
-    if not vectors:
+    if rows == 0:
         raise CsvFormatError("no data rows")
-    if expected is not None and label_idx is not None and expected - 1 == 0:
+    if label_idx is not None and expected - 1 == 0:
         raise CsvFormatError("no feature columns besides the label")
-    data = np.asarray(vectors, dtype=np.float64)
+    data = np.frombuffer(values, dtype=np.float64).reshape(rows, -1)
     return Dataset(
         vectors=data,
         column_names=names,
         labels=np.asarray(labels, dtype=bool) if label_idx is not None else None,
     )
+
+
+def _check_fields(row: list[str], lineno: int, label_idx: int | None) -> None:
+    """Raise the error of the first bad field of ``row``, a record of the
+    expected length, if it has one."""
+    for c, field in enumerate(row):
+        colno = c + 1
+        if c == label_idx:
+            if field.strip() not in _LABEL_VALUES:
+                raise CsvFormatError(
+                    f"label must be '{LABEL_NORMAL}' or '{LABEL_ANOMALOUS}', got {field!r}",
+                    row=lineno,
+                    column=colno,
+                )
+            continue
+        try:
+            value = float(field)
+        except ValueError:
+            raise CsvFormatError(
+                f"not a number: {field!r}", row=lineno, column=colno
+            ) from None
+        if not math.isfinite(value):
+            raise CsvFormatError(
+                f"non-finite value: {field!r}", row=lineno, column=colno
+            )
 
 
 def save_csv(dataset: Dataset, destination, label_column: str = "label") -> None:

@@ -136,6 +136,78 @@ def csv_texts(draw):
     return text, has_header, label
 
 
+def _reference_load_rows(text, has_header, label_column):
+    """A list-based row-by-row parser: every record kept as a list of str,
+    then every value as a float. ``dataio._load_rows``, which streams, must
+    match it in values and in every error."""
+    rows = []
+    try:
+        for row in csv.reader(text.splitlines()):
+            rows.append(row)
+    except csv.Error as exc:
+        raise CsvFormatError(str(exc), row=len(rows) + 1) from None
+    if not rows:
+        raise CsvFormatError("empty input: no rows")
+    if label_column is not None and not has_header:
+        raise CsvFormatError("a label column requires a header line")
+    names = None
+    label_idx = None
+    start = 0
+    if has_header:
+        header = [h.strip() for h in rows[0]]
+        if label_column is not None:
+            if label_column not in header:
+                raise CsvFormatError(f"label column {label_column!r} not found in header")
+            label_idx = header.index(label_column)
+            names = [h for i, h in enumerate(header) if i != label_idx]
+        else:
+            names = header
+        start = 1
+    vectors = []
+    labels = []
+    expected = len(rows[0]) if has_header else None
+    for r in range(start, len(rows)):
+        row = rows[r]
+        lineno = r + 1
+        if not row:
+            continue
+        if expected is None:
+            expected = len(row)
+        if len(row) != expected:
+            raise CsvFormatError(f"expected {expected} fields, found {len(row)}", row=lineno)
+        values = []
+        for c, field in enumerate(row):
+            colno = c + 1
+            if c == label_idx:
+                lab = field.strip()
+                if lab not in ("normal", "anomalous"):
+                    raise CsvFormatError(
+                        f"label must be 'normal' or 'anomalous', got {field!r}",
+                        row=lineno, column=colno,
+                    )
+                labels.append(lab == "anomalous")
+                continue
+            try:
+                value = float(field)
+            except ValueError:
+                raise CsvFormatError(f"not a number: {field!r}", row=lineno,
+                                     column=colno) from None
+            if not np.isfinite(value):
+                raise CsvFormatError(f"non-finite value: {field!r}", row=lineno, column=colno)
+            values.append(value)
+        vectors.append(values)
+    if not vectors:
+        raise CsvFormatError("no data rows")
+    if label_idx is not None and expected - 1 == 0:
+        raise CsvFormatError("no feature columns besides the label")
+    return Dataset(np.asarray(vectors, dtype=np.float64), names,
+                   np.asarray(labels, dtype=bool) if label_idx is not None else None)
+
+
+# A quote that never closes: csv reads on until the field outgrows its limit.
+_UNCLOSED_QUOTE = '"' + "1,2\n" * 50_000
+
+
 class TestLoadCsv:
     def test_header_and_values(self):
         ds = load_csv(b"a,b\n1,2\n3,4")
@@ -264,6 +336,50 @@ class TestLoadCsv:
         with pytest.raises(CsvFormatError) as raised:
             load_csv(data, label_column=label_column)
         assert str(raised.value) == message
+
+    @settings(max_examples=300)
+    @given(csv_texts())
+    def test_row_by_row_matches_the_reference(self, case):
+        text, has_header, label_column = case
+        assert _outcome(lambda: dataio._load_rows(text, has_header, label_column)) == _outcome(
+            lambda: _reference_load_rows(text, has_header, label_column)
+        )
+
+    @pytest.mark.parametrize("text, label_column, message", [
+        # Two bad records: the first one's error, whatever the kinds.
+        pytest.param("a,b\n1,x\n3\n", None, "not a number: 'x' (row 2, column 2)",
+                     id="number-then-width"),
+        pytest.param("a,b\n1\n3,x\n", None, "expected 2 fields, found 1 (row 2)",
+                     id="width-then-number"),
+        pytest.param("a,b\n1,inf\nx,2\n", None, "non-finite value: 'inf' (row 2, column 2)",
+                     id="non-finite-then-number"),
+        pytest.param("a,label\nx,Normal\n", "label", "not a number: 'x' (row 2, column 1)",
+                     id="number-before-label"),
+        pytest.param("a,label\n1,Normal\nx,normal\n", "label",
+                     "label must be 'normal' or 'anomalous', got 'Normal' (row 2, column 2)",
+                     id="label-then-number"),
+        # A csv error comes first, even after a bad record or header.
+        pytest.param("a,b\n1,x\n" + _UNCLOSED_QUOTE, None,
+                     f"field larger than field limit ({csv.field_size_limit()}) (row 3)",
+                     id="number-then-csv-error"),
+        pytest.param("a\n1\n" + _UNCLOSED_QUOTE, "label",
+                     f"field larger than field limit ({csv.field_size_limit()}) (row 3)",
+                     id="missing-label-column-then-csv-error"),
+        pytest.param("a\n" + _UNCLOSED_QUOTE, None,
+                     f"field larger than field limit ({csv.field_size_limit()}) (row 2)",
+                     id="csv-error"),
+    ])
+    def test_row_by_row_reports_the_reference_error(self, text, label_column, message):
+        for parse in (dataio._load_rows, _reference_load_rows):
+            with pytest.raises(CsvFormatError) as raised:
+                parse(text, True, label_column)
+            assert str(raised.value) == message
+
+    def test_row_by_row_keeps_finite_values_whose_sum_overflows(self):
+        text = '"a",b,label\n1e308,1e308,normal\n-1e308,-1e308,anomalous\n'
+        ds = load_csv(text.encode(), label_column="label")
+        assert ds.vectors.tolist() == [[1e308, 1e308], [-1e308, -1e308]]
+        assert ds.labels.tolist() == [False, True]
 
     @settings(max_examples=300)
     @given(csv_texts())
