@@ -7,12 +7,9 @@ from netsom._backend import backend_name
 from netsom.anomaly import (
     AnomalyBaseline,
     EvalSummary,
-    Verdict,
     calibrate,
     evaluate,
-    score,
-    score_batch,
-    verdicts_to_csv,
+    residuals,
 )
 from netsom.core import (
     SomMap,
@@ -61,7 +58,6 @@ __all__ = [
     "TrainingReport",
     "TrainingSchedule",
     "UMatrix",
-    "Verdict",
     "adapt",
     "apply_normalizer",
     "backend_name",
@@ -80,13 +76,11 @@ __all__ = [
     "neighbors_of",
     "position_of",
     "quantization_error",
+    "residuals",
     "save_csv",
     "save_map",
     "schedule_at",
-    "score",
-    "score_batch",
     "select_stimulus",
     "split",
     "train",
-    "verdicts_to_csv",
 ]

@@ -10,11 +10,11 @@ the boundary counts as normal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from netsom.core import SomMap, as_vector, find_bmus
+from netsom.core import SomMap, find_bmus
 from netsom.dataio import Dataset, json_fields
 from netsom.mapfile import write_text
 
@@ -38,16 +38,6 @@ class AnomalyBaseline:
             raise ValueError("threshold_percentile must lie in (0, 100]")
         if self.calibration_size < 1:
             raise ValueError("calibration_size must be at least 1")
-
-
-@dataclass(frozen=True)
-class Verdict:
-    """Score of one input: its winner node, residual, and the flag."""
-
-    input_index: int
-    bmu: int
-    residual: float
-    is_anomalous: bool
 
 
 @dataclass(frozen=True)
@@ -98,18 +88,6 @@ def residuals(baseline: AnomalyBaseline, data) -> tuple[np.ndarray, np.ndarray, 
     return bmu, residual, residual > baseline.threshold
 
 
-def score(baseline: AnomalyBaseline, x, input_index: int = 0) -> Verdict:
-    """Score one input against the baseline."""
-    v = as_vector(x, baseline.map.dim)
-    return replace(score_batch(baseline, v.reshape(1, -1))[0], input_index=input_index)
-
-
-def score_batch(baseline: AnomalyBaseline, data) -> list[Verdict]:
-    """Score a batch; verdict order matches input order."""
-    columns = [column.tolist() for column in residuals(baseline, data)]
-    return [Verdict(i, *row) for i, row in enumerate(zip(*columns))]
-
-
 def evaluate(baseline: AnomalyBaseline, labeled: Dataset) -> EvalSummary:
     """Score a labeled dataset and tally the confusion matrix."""
     if labeled.labels is None:
@@ -136,22 +114,17 @@ def evaluate(baseline: AnomalyBaseline, labeled: Dataset) -> EvalSummary:
     )
 
 
-def render_verdicts(rows, destination=None) -> str:
-    """Render ``(index, bmu, residual, is_anomalous)`` rows as CSV with the header
-    ``index,bmu,residual,is_anomalous``, in the order given. Values are Python
-    scalars, as ``.tolist()`` gives them, so a residual prints as a float's ``repr``.
+def render_verdicts(bmu, residual, flags, destination=None) -> str:
+    """Render the arrays that ``residuals`` returns as CSV with the header
+    ``index,bmu,residual,is_anomalous``, one line per row in row order, indexed
+    from 0. A residual prints as a Python float's ``repr``, at full precision.
     Writes to ``destination`` when given, atomically when it is a path."""
-    lines = [f"{i},{bmu},{r!r},{'true' if flag else 'false'}\n" for i, bmu, r, flag in rows]
+    rows = zip(bmu.tolist(), residual.tolist(), flags.tolist())
+    lines = [f"{i},{b},{r!r},{'true' if f else 'false'}\n" for i, (b, r, f) in enumerate(rows)]
     payload = VERDICT_CSV_HEADER + "\n" + "".join(lines)
     if destination is not None:
         write_text(destination, payload)
     return payload
-
-
-def verdicts_to_csv(verdicts, destination=None) -> str:
-    """Render verdicts as CSV in the order given, through ``render_verdicts``."""
-    rows = ((v.input_index, v.bmu, v.residual, v.is_anomalous) for v in verdicts)
-    return render_verdicts(rows, destination)
 
 
 def baseline_to_json_dict(baseline: AnomalyBaseline) -> dict:

@@ -165,11 +165,13 @@ def run_detect(args) -> int:
     baseline, scored = _load_pipeline(args, input_has_header=not args.no_header)
     bmu, residual, flags = residuals(baseline, scored.vectors)
 
-    total = len(flags)
-    render_verdicts(zip(range(total), bmu.tolist(), residual.tolist(), flags.tolist()), args.out)
-    if args.save_baseline is not None:
-        _write_json(args.save_baseline, baseline_to_json_dict(baseline))
+    # One set, verdicts last: a failed baseline write leaves the old verdicts.
+    with ArtifactSet() as artifacts:
+        if args.save_baseline is not None:
+            _write_json(artifacts.file(args.save_baseline), baseline_to_json_dict(baseline))
+        render_verdicts(bmu, residual, flags, artifacts.file(args.out))
 
+    total = len(flags)
     flagged = int(flags.sum())
     print(f"total: {total}")
     print(f"anomalous: {flagged}")

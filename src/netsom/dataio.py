@@ -365,7 +365,8 @@ def save_csv(dataset: Dataset, destination, label_column: str = "label") -> None
 def fit_normalizer(data: Dataset, method: str) -> NormalizationModel:
     """Fit per-dimension statistics. Constant columns are flagged degenerate
     and map to 0 under either method. Raises ValueError naming a column
-    whose range (minmax) or mean or stddev (zscore) overflows."""
+    whose range (minmax) or mean or stddev (zscore) overflows, or whose
+    stddev underflows to 0 though the column is not constant."""
     if method not in NORMALIZATION_METHODS:
         raise ValueError(f"unknown normalization method {method!r}")
     if len(data) == 0:
@@ -393,11 +394,18 @@ def fit_normalizer(data: Dataset, method: str) -> NormalizationModel:
     for what, values in checked.items():
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
-            c = int(bad[0])
-            column = repr(data.column_names[c]) if data.column_names else str(c + 1)
             raise ValueError(
-                f"cannot fit {method} normalization: the {what} of column {column} "
-                "is not finite; scale the data down"
+                f"cannot fit {method} normalization: the {what} of column "
+                f"{_column_label(data, bad[0])} is not finite; scale the data down"
+            )
+    if method == "zscore":
+        # Deviations below about 1e-162 square to 0, so a column that is not
+        # constant can get stddev 0; dividing by it would give infinities.
+        bad = np.flatnonzero(~degenerate & (stds == 0.0))
+        if bad.size:
+            raise ValueError(
+                f"cannot fit zscore normalization: the stddev of column "
+                f"{_column_label(data, bad[0])} underflows to 0; scale the data up"
             )
     return NormalizationModel(method=method, stats=stats, degenerate=degenerate)
 
@@ -406,22 +414,31 @@ def apply_normalizer(model: NormalizationModel, data: Dataset) -> Dataset:
     """Scale a dataset with fitted statistics; a pure transform.
 
     minmax clamps values outside the fitted range into [0, 1]; degenerate
-    columns always map to 0.
+    columns always map to 0. A zscore value too far from the fitted mean to
+    scale to a float raises ValueError naming its 1-based data row and column.
     """
     if data.dim != model.dim:
         raise ValueError(f"dimension mismatch: model has {model.dim}, data has {data.dim}")
     v = data.vectors
     if model.method == "none":
         return data
-    if model.method == "minmax":
-        span = model.stats["max"] - model.stats["min"]
-        safe = np.where(model.degenerate, 1.0, span)
-        out = (v - model.stats["min"]) / safe
-        out = np.clip(out, 0.0, 1.0)
-    else:
-        safe = np.where(model.degenerate, 1.0, model.stats["stddev"])
-        out = (v - model.stats["mean"]) / safe
+    # Far outside the fitted spread a value overflows: minmax clamps it to 0
+    # or 1, and zscore reports it below.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if model.method == "minmax":
+            span = model.stats["max"] - model.stats["min"]
+            safe = np.where(model.degenerate, 1.0, span)
+            out = np.clip((v - model.stats["min"]) / safe, 0.0, 1.0)
+        else:
+            safe = np.where(model.degenerate, 1.0, model.stats["stddev"])
+            out = (v - model.stats["mean"]) / safe
     out[:, model.degenerate] = 0.0
+    if model.method == "zscore" and not np.isfinite(out).all():
+        row, c = np.argwhere(~np.isfinite(out))[0]
+        raise ValueError(
+            f"cannot apply zscore normalization: data row {row + 1}, column "
+            f"{_column_label(data, c)} scales to a non-finite value; scale the data down"
+        )
     return replace(data, vectors=out)
 
 
@@ -526,6 +543,13 @@ def json_number(value) -> float | None:
         return float(value)
     except OverflowError:
         return None
+
+
+def _column_label(data: Dataset, c) -> str:
+    """Column ``c`` (0-based) as errors name it: its quoted header name, or
+    its 1-based number."""
+    c = int(c)
+    return repr(data.column_names[c]) if data.column_names else str(c + 1)
 
 
 def _take(data: Dataset, indices: np.ndarray) -> Dataset:

@@ -8,10 +8,8 @@ from netsom.anomaly import (
     baseline_to_json_dict,
     calibrate,
     evaluate,
+    render_verdicts,
     residuals,
-    score,
-    score_batch,
-    verdicts_to_csv,
 )
 from netsom.core import SomMap, TrainingSchedule, initialize, train
 from netsom.dataio import Dataset
@@ -67,28 +65,30 @@ class TestScore:
     def test_exact_weight_is_normal(self):
         som = single_node_map((1.0, 2.0))
         baseline = AnomalyBaseline(som, threshold=0.5, threshold_percentile=99.0, calibration_size=1)
-        v = score(baseline, (1.0, 2.0))
-        assert v.residual == 0.0
-        assert not v.is_anomalous
-        assert v.bmu == 0
+        bmu, residual, flagged = residuals(baseline, [(1.0, 2.0)])
+        assert residual.tolist() == [0.0]
+        assert flagged.tolist() == [False]
+        assert bmu.tolist() == [0]
 
     def test_boundary_counts_as_normal(self):
         som = single_node_map((0.0, 0.0))
         baseline = AnomalyBaseline(som, threshold=5.0, threshold_percentile=99.0, calibration_size=1)
-        assert not score(baseline, (3.0, 4.0)).is_anomalous  # residual exactly 5
+        _, residual, flagged = residuals(baseline, [(3.0, 4.0)])
+        assert residual.tolist() == [5.0]
+        assert flagged.tolist() == [False]
 
     def test_pythagorean_anomaly(self):
         som = single_node_map((0.0, 0.0))
         baseline = AnomalyBaseline(som, threshold=1.0, threshold_percentile=99.0, calibration_size=1)
-        v = score(baseline, (3.0, 4.0))
-        assert v.residual == 5.0
-        assert v.is_anomalous
+        _, residual, flagged = residuals(baseline, [(3.0, 4.0)])
+        assert residual.tolist() == [5.0]
+        assert flagged.tolist() == [True]
 
     def test_dimension_mismatch(self):
         som = single_node_map((0.0, 0.0))
         baseline = AnomalyBaseline(som, threshold=1.0, threshold_percentile=99.0, calibration_size=1)
         with pytest.raises(ValueError, match="dimension mismatch"):
-            score(baseline, (1.0,))
+            residuals(baseline, [(1.0,)])
 
 
 class TestMonotonicity:
@@ -103,16 +103,18 @@ class TestMonotonicity:
         xs = np.random.default_rng(4).uniform(0, 10, size=(40, 1))
         low = AnomalyBaseline(som, 2.0, 50.0, 10)
         high = AnomalyBaseline(som, 6.0, 90.0, 10)
-        for vl, vh in zip(score_batch(low, xs), score_batch(high, xs)):
-            if not vl.is_anomalous:
-                assert not vh.is_anomalous
+        _, _, flagged_low = residuals(low, xs)
+        _, _, flagged_high = residuals(high, xs)
+        assert flagged_low.any() and not flagged_low.all()
+        assert not np.any(flagged_high & ~flagged_low)
 
     def test_percentile_100_classifies_all_calibration_normal(self):
         rng = np.random.default_rng(6)
         data = rng.normal(0, 1, size=(200, 2))
         som = initialize(GridShape(4, 4), 2, bounds_of(data), seed=2)
         baseline = calibrate(som, data, 100.0)
-        assert not any(v.is_anomalous for v in score_batch(baseline, data))
+        _, _, flagged = residuals(baseline, data)
+        assert not flagged.any()
 
 
 class TestEvaluate:
@@ -151,12 +153,12 @@ class TestEvaluate:
         assert summary.false_positive_rate == 3 / 90
 
     def test_residual_at_threshold_is_not_flagged(self):
-        # Residual 1.0 equals the threshold: normal, as in score_batch, so the
+        # Residual 1.0 equals the threshold: normal, as in residuals, so the
         # anomalous row is missed (FN) and the normal rows stay quiet (TN).
         baseline = self._baseline()
         vectors = np.array([[1.0], [-1.0], [1.0]])
-        verdicts = score_batch(baseline, vectors)
-        assert [(v.residual, v.is_anomalous) for v in verdicts] == [(1.0, False)] * 3
+        _, residual, flagged = residuals(baseline, vectors)
+        assert list(zip(residual.tolist(), flagged.tolist())) == [(1.0, False)] * 3
         summary = evaluate(baseline, Dataset(vectors=vectors, labels=np.array([True, False, False])))
         assert (
             summary.true_positives,
@@ -177,7 +179,7 @@ class TestEvaluate:
             evaluate(self._baseline(), Dataset(vectors=np.array([[1.0]])))
 
     def test_dimension_mismatch(self):
-        # One message on either backend, as in calibrate and score_batch.
+        # One message on either backend, as in calibrate and residuals.
         som = SomMap(GridShape(3, 3), np.zeros((9, 4)), seed=0)
         ds = Dataset(vectors=np.ones((2, 3)), labels=np.array([False, True]))
         with pytest.raises(ValueError, match=r"^dimension mismatch: expected 4, got 3$"):
@@ -192,7 +194,7 @@ class TestResiduals:
         trained, _ = train(som, data, TrainingSchedule.default_for(som.shape), seed=6)
         return calibrate(trained, data, 90.0), rng
 
-    def test_agrees_with_score_batch_evaluate_and_calibrate(self):
+    def test_agrees_with_evaluate_and_calibrate(self):
         baseline, rng = self._trained_baseline()
         data = rng.normal(0.0, 1.5, size=(250, 3))
         labels = rng.random(250) < 0.3
@@ -200,10 +202,6 @@ class TestResiduals:
         assert (bmu.dtype, residual.dtype, flagged.dtype) == (np.int64, np.float64, bool)
         assert bmu.shape == residual.shape == flagged.shape == (250,)
         assert 0 < flagged.sum() < 250
-
-        rows = [(v.input_index, v.bmu, v.residual, v.is_anomalous)
-                for v in score_batch(baseline, data)]
-        assert rows == list(zip(range(250), bmu.tolist(), residual.tolist(), flagged.tolist()))
 
         summary = evaluate(baseline, Dataset(vectors=data, labels=labels))
         assert (
@@ -226,14 +224,13 @@ class TestResiduals:
     def test_verdict_fields_are_python_scalars(self):
         # A numpy scalar would print as np.float64(...) in the verdict CSV.
         baseline, rng = self._trained_baseline()
-        verdicts = score_batch(baseline, rng.normal(0.0, 3.0, size=(20, 3)))
-        assert {v.is_anomalous for v in verdicts} == {False, True}
-        for v in verdicts:
-            assert type(v.input_index) is int
-            assert type(v.bmu) is int
-            assert type(v.residual) is float
-            assert type(v.is_anomalous) is bool
-        assert "np." not in verdicts_to_csv(verdicts)
+        bmu, residual, flagged = residuals(baseline, rng.normal(0.0, 3.0, size=(20, 3)))
+        assert set(flagged.tolist()) == {False, True}
+        text = render_verdicts(bmu, residual, flagged)
+        assert "np." not in text
+        expected = [f"{i},{b},{r!r},{str(f).lower()}" for i, (b, r, f)
+                    in enumerate(zip(bmu.tolist(), residual.tolist(), flagged.tolist()))]
+        assert text.splitlines()[1:] == expected
 
     def test_residual_equal_to_threshold_is_not_flagged(self):
         baseline = AnomalyBaseline(single_node_map((0.0, 0.0)), 5.0, 99.0, 1)
@@ -247,8 +244,6 @@ class TestResiduals:
         with pytest.raises(ValueError, match=r"^dimension mismatch: expected 2, got 3$"):
             residuals(baseline, np.ones((4, 3)))
         with pytest.raises(ValueError, match=r"^dimension mismatch: expected 2, got 3$"):
-            score_batch(baseline, np.ones((4, 3)))
-        with pytest.raises(ValueError, match=r"^dimension mismatch: expected 2, got 3$"):
             calibrate(baseline.map, np.ones((4, 3)), 99.0)
         with pytest.raises(ValueError, match=r"^calibration set is empty$"):
             calibrate(baseline.map, np.empty((0, 2)), 99.0)
@@ -256,23 +251,21 @@ class TestResiduals:
             evaluate(baseline, Dataset(vectors=np.empty((0, 2)), labels=np.empty(0, bool)))
         bmu, residual, flagged = residuals(baseline, np.empty((0, 2)))
         assert bmu.shape == residual.shape == flagged.shape == (0,)
-        assert score_batch(baseline, np.empty((0, 2))) == []
+        assert render_verdicts(bmu, residual, flagged) == "index,bmu,residual,is_anomalous\n"
 
 
 class TestVerdictCsv:
     def test_exact_format(self):
         som = single_node_map((0.0, 0.0))
         baseline = AnomalyBaseline(som, 1.0, 99.0, 1)
-        verdicts = score_batch(baseline, [(0.5, 0.0), (3.0, 4.0)])
-        text = verdicts_to_csv(verdicts)
+        text = render_verdicts(*residuals(baseline, [(0.5, 0.0), (3.0, 4.0)]))
         assert text == "index,bmu,residual,is_anomalous\n0,0,0.5,false\n1,0,5.0,true\n"
 
     def test_row_order_is_input_order(self):
         som = single_node_map((0.0,))
         baseline = AnomalyBaseline(som, 10.0, 99.0, 1)
-        verdicts = score_batch(baseline, [(3.0,), (1.0,), (2.0,)])
-        assert [v.input_index for v in verdicts] == [0, 1, 2]
-        assert [v.residual for v in verdicts] == [3.0, 1.0, 2.0]
+        text = render_verdicts(*residuals(baseline, [(3.0,), (1.0,), (2.0,)]))
+        assert text.splitlines()[1:] == ["0,0,3.0,false", "1,0,1.0,false", "2,0,2.0,false"]
 
 
 class TestBaselineJson:
@@ -340,7 +333,7 @@ class TestSyntheticDetection:
             som, normal_train, TrainingSchedule.default_for(som.shape), seed=200
         )
         baseline = calibrate(trained, normal_train, 99.0)
-        detection = np.mean([v.is_anomalous for v in score_batch(baseline, far)])
-        fpr = np.mean([v.is_anomalous for v in score_batch(baseline, normal_held)])
+        detection = np.mean(residuals(baseline, far)[2])
+        fpr = np.mean(residuals(baseline, normal_held)[2])
         assert detection >= 0.95
         assert fpr <= 0.05

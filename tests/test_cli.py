@@ -15,8 +15,6 @@ from netsom.anomaly import (
     baseline_to_json_dict,
     calibrate,
     residuals,
-    score_batch,
-    verdicts_to_csv,
 )
 from netsom.cli import main
 from netsom.core import SomMap
@@ -139,6 +137,21 @@ class TestTrainCommand:
             "is not finite; scale the data down\n"
         )
         assert list(tmp_path.iterdir()) == [tmp_path / "huge.csv"]
+
+    def test_zscore_stddev_that_underflows_is_an_error(self, tmp_path, capsys):
+        data = np.tile([[0.0, 1e-200], [1.0, 2e-200], [2.0, 3e-200]], (10, 1))
+        csv_path = write_csv(tmp_path / "tiny.csv", data, header=["f0", "f1"])
+        out = tmp_path / "m.som"
+        argv = quick_train_args(csv_path, out, **{"--rows": "3", "--cols": "3",
+                                                  "--normalize": "zscore"})
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: cannot fit zscore normalization: the stddev of column 'f1' "
+            "underflows to 0; scale the data up\n"
+        )
+        assert list(tmp_path.iterdir()) == [tmp_path / "tiny.csv"]
 
     def test_overflowing_distances_are_an_error(self, tmp_path, capsys):
         # The range fits a float64, but squared distances overflow to inf.
@@ -480,6 +493,22 @@ class TestDetectCommand:
         assert verdicts.read_bytes() == b"old verdicts\n"
         assert not any(p.name.endswith(".tmp") for p in tmp_path.iterdir())
 
+    def test_failed_baseline_write_keeps_old_verdicts(self, tmp_path, normal_cluster, capsys):
+        out = tmp_path / "map.som"
+        main(quick_train_args(normal_cluster, out))
+        verdicts = tmp_path / "v.csv"
+        verdicts.write_bytes(b"old verdicts\n")
+        capsys.readouterr()
+        rc = main([
+            "detect", "--map", str(out), "--calibration", normal_cluster,
+            "--input", normal_cluster, "--out", str(verdicts),
+            "--save-baseline", str(tmp_path / "nodir" / "b.json"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: [Errno 2]")
+        assert verdicts.read_bytes() == b"old verdicts\n"
+        assert not any(p.name.endswith(".tmp") for p in tmp_path.iterdir())
+
 
 class TestDetectMatchesLibrary:
     """detect's verdict file and counts are the library's, byte for byte."""
@@ -500,8 +529,10 @@ class TestDetectMatchesLibrary:
     def _library(self, map_path, input_path, has_header, baseline):
         model = normalizer_from_json_dict(json.loads(Path(f"{map_path}.norm.json").read_text()))
         scored = apply_normalizer(model, load_csv(input_path, has_header=has_header))
-        text = verdicts_to_csv(score_batch(baseline, scored.vectors))
         bmu, residual, flagged = residuals(baseline, scored.vectors)
+        rows = zip(bmu.tolist(), residual.tolist(), flagged.tolist())
+        text = "index,bmu,residual,is_anomalous\n" + "".join(
+            f"{i},{b},{r!r},{str(f).lower()}\n" for i, (b, r, f) in enumerate(rows))
         total, anomalous = len(flagged), int(flagged.sum())
         assert baseline.threshold in residual.tolist()
         assert 0 < anomalous < total

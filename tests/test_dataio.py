@@ -496,10 +496,60 @@ class TestNormalizer:
             "is not finite; scale the data down"
         )
 
+    @pytest.mark.parametrize("names, column", [(["a", "b"], "'b'"), (None, "2")])
+    def test_zscore_stddev_that_underflows_rejected(self, names, column):
+        # The second column is not constant, but its deviations square to 0.
+        values = np.array([[0.0, 1e-200], [1.0, 2e-200], [2.0, 3e-200]])
+        with pytest.raises(ValueError) as info:
+            fit_normalizer(Dataset(values, names), "zscore")
+        assert str(info.value) == (
+            f"cannot fit zscore normalization: the stddev of column {column} "
+            "underflows to 0; scale the data up"
+        )
+
+    def test_zscore_keeps_a_tiny_stddev_that_does_not_underflow(self):
+        # Its squared deviations are subnormal, so it is not exact, but it is not 0.
+        ds = Dataset(vectors=np.array([[1e-160], [3e-160]]))
+        out = apply_normalizer(fit_normalizer(ds, "zscore"), ds)
+        assert np.allclose(out.vectors, [[-1.0], [1.0]], rtol=1e-3)
+
+    @pytest.mark.parametrize(
+        "fitted, names, scored, where",
+        [
+            ([[0.0], [1e-10]], None, [[1e300]], "data row 1, column 1"),
+            ([[0.0, 0.0], [1.0, 1e-10]], ["a", "b"], [[0.0, 0.0], [5.0, 1e300], [1e300, 0.0]],
+             "data row 2, column 'b'"),
+            ([[0.0, 0.0], [1e-10, 1e-10]], None, [[0.0, 0.0], [0.0, 1e300], [1e300, 0.0]],
+             "data row 2, column 2"),
+        ],
+    )
+    def test_zscore_value_that_overflows_rejected(self, fitted, names, scored, where):
+        model = fit_normalizer(Dataset(np.array(fitted), names), "zscore")
+        with pytest.raises(ValueError) as info:
+            apply_normalizer(model, Dataset(np.array(scored), names))
+        assert str(info.value) == (
+            f"cannot apply zscore normalization: {where} scales to a non-finite value; "
+            "scale the data down"
+        )
+
+    def test_zscore_zero_stddev_from_json_rejected(self):
+        # A hand-edited normalizer may hold stddev 0 in a column not flagged degenerate.
+        model = normalizer_from_json_dict({
+            **normalizer_to_json_dict(fit_normalizer(Dataset(vectors=np.eye(2)), "zscore")),
+            "stats": {"mean": [0.5, 0.5], "stddev": [0.5, 0.0]},
+        })
+        with pytest.raises(ValueError, match=r"data row 1, column 2 scales to a non-finite"):
+            apply_normalizer(model, Dataset(vectors=np.array([[0.5, 0.5]])))
+
     def test_minmax_clamps_out_of_range(self):
         ds = Dataset(vectors=np.array([[0.0], [10.0]]))
         model = fit_normalizer(ds, "minmax")
         out = apply_normalizer(model, Dataset(vectors=np.array([[15.0], [-2.0]])))
+        assert np.array_equal(out.vectors, [[1.0], [0.0]])
+
+    def test_minmax_clamps_a_value_that_overflows(self):
+        model = fit_normalizer(Dataset(vectors=np.array([[-1e308], [-5e307]])), "minmax")
+        out = apply_normalizer(model, Dataset(vectors=np.array([[1e308], [-1.7e308]])))
         assert np.array_equal(out.vectors, [[1.0], [0.0]])
 
     def test_none_is_identity(self):
