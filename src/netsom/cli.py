@@ -128,15 +128,6 @@ def run_train(args) -> int:
         seed=train_seed,
     )
 
-    # One set, map last: a failed write leaves the old map with its old
-    # normalizer, never one run's map beside another run's statistics.
-    with ArtifactSet() as artifacts:
-        _write_json(artifacts.file(_normalizer_path(args.out, args.normalizer)),
-                    normalizer_to_json_dict(model))
-        for path, part in held_out:
-            save_csv(part, artifacts.file(path), label_column=args.label_column or "label")
-        save_map(trained, artifacts.file(args.out))
-
     lines = [
         f"backend: {backend_name()}",
         f"map: {args.out} ({shape.rows}x{shape.cols}, dim {trained.dim})",
@@ -148,9 +139,19 @@ def run_train(args) -> int:
     lines.append("qe_history:")
     lines += [f"  step {step}: {qe!r}" for step, qe in report.qe_history]
     text = "\n".join(lines) + "\n"
+
+    # One set, map last: a failed write, the report's too, leaves the old map
+    # with its old normalizer, never one run's map beside another run's
+    # statistics.
+    with ArtifactSet() as artifacts:
+        _write_json(artifacts.file(_normalizer_path(args.out, args.normalizer)),
+                    normalizer_to_json_dict(model))
+        for path, part in held_out:
+            save_csv(part, artifacts.file(path), label_column=args.label_column or "label")
+        if args.report is not None:
+            write_text(artifacts.file(args.report), text)
+        save_map(trained, artifacts.file(args.out))
     sys.stdout.write(text)
-    if args.report is not None:
-        write_text(args.report, text)
     return 0
 
 

@@ -15,11 +15,12 @@ underscores between digits and non-ASCII decimal digits are accepted;
 Categorical features must be pre-encoded to numbers upstream (as KDD-style
 pipelines do).
 
-Text whose data lines are ASCII with no double quote and no control
-character but tab, CR and LF is parsed by one ``np.loadtxt`` call; its
-header line, which may be quoted, is parsed by ``csv``. Any other text, and
-any malformed input, is parsed row by row, which gives the same values and
-names the 1-based row and column of the first error.
+One parser reads the text: ``csv`` reads the header record, which may be
+quoted, and the data lines go to one ``np.loadtxt`` call when they are ASCII
+with no double quote and no control character but tab, CR and LF. Other
+data lines, and any malformed input, are read record by record by ``csv``
+and ``float()``, which gives the same values and names the 1-based row and
+column of the first error.
 """
 
 from __future__ import annotations
@@ -36,10 +37,10 @@ from netsom.mapfile import write_text
 
 LABEL_NORMAL = "normal"
 LABEL_ANOMALOUS = "anomalous"
-# What both CSV parsers parse a label to; on the fast path an unknown label
-# parses to NaN.
+# What the CSV parser reads a label as; in the loadtxt step an unknown label
+# reads as NaN.
 _LABEL_VALUES = {LABEL_NORMAL: 0.0, LABEL_ANOMALOUS: 1.0}
-# Characters that send CSV data lines to the row-by-row parser: the quote,
+# Characters that keep CSV data lines from the loadtxt step: the quote,
 # which csv unquotes, and the ASCII control characters but tab, LF and CR,
 # some of which np.loadtxt strips around a number where float() rejects them.
 _ROW_BY_ROW_CHARS = '"' + "".join(map(chr, (*range(9), 11, 12, *range(14, 32), 127)))
@@ -105,7 +106,8 @@ class NormalizationModel:
     ``stats`` holds {"min", "max"} for minmax, {"mean", "stddev"} (population
     stddev) for zscore, and is empty for none, each statistic holding one
     finite value per dimension. ``degenerate`` flags constant columns, which
-    both methods map to 0.
+    both methods map to 0. A max below its min, a max equal to its min in a
+    column not flagged degenerate, and a negative stddev are refused.
     """
 
     method: str
@@ -122,10 +124,23 @@ class NormalizationModel:
             )
         if np.ndim(self.degenerate) != 1:
             raise ValueError("degenerate must hold one flag per dimension")
-        for key in keys:
-            values = np.asarray(self.stats[key], dtype=np.float64)
+        stats = {key: np.asarray(self.stats[key], dtype=np.float64) for key in keys}
+        for key, values in stats.items():
             if values.shape != (self.dim,) or not np.all(np.isfinite(values)):
                 raise ValueError(f"statistic {key!r} must hold {self.dim} finite values")
+        checks = []
+        if self.method == "minmax":
+            low, high = stats["min"], stats["max"]
+            checks = [
+                (high < low, "max is below min"),
+                ((high == low) & ~np.asarray(self.degenerate, dtype=bool),
+                 "max equals min but the column is not flagged degenerate"),
+            ]
+        elif self.method == "zscore":
+            checks = [(stats["stddev"] < 0.0, "stddev is negative")]
+        for bad, what in checks:
+            if bad.any():
+                raise ValueError(f"{self.method} column {int(np.argmax(bad)) + 1}: {what}")
 
     @property
     def dim(self) -> int:
@@ -140,59 +155,87 @@ def load_csv(source, has_header: bool = True, label_column: str | None = None) -
     the offending 1-based row and column. Physical line numbers are used,
     so with a header the first data row is row 2.
     """
-    text = _read_text(source)
-    dataset = _load_fast(text, has_header, label_column)
-    if dataset is None:
-        dataset = _load_rows(text, has_header, label_column)
-    return dataset
+    return _load(_read_text(source), has_header, label_column, loadtxt=True)
 
 
-def _load_fast(text: str, has_header: bool, label_column: str | None) -> Dataset | None:
-    """What :func:`_load_rows` returns for ``text``, parsed by one
-    ``np.loadtxt`` call, or None wherever the two parsers could disagree.
+def _load_rows(text: str, has_header: bool, label_column: str | None) -> Dataset:
+    """What :func:`load_csv` reads from ``text`` with the loadtxt step
+    skipped; the reference that :func:`_loadtxt` must match."""
+    return _load(text, has_header, label_column, loadtxt=False)
 
-    Both read the same ``text.splitlines()`` and convert numbers with the
-    same correctly rounded routine, so they agree on data lines of ASCII
-    text without quotes and control characters (tab, CR and LF aside). The
-    header line is read by ``csv``, as ``_load_rows`` reads it, unless a
-    quoted field runs on past it, which would shift the row numbers.
-    loadtxt rejects a row whose field count differs from the first row's;
-    the header's count, the row count, finite values and known labels are
-    checked here. A None sends the text to ``_load_rows``, the only code
-    that raises :class:`CsvFormatError`.
+
+def _load(text: str, has_header: bool, label_column: str | None, loadtxt: bool) -> Dataset:
+    """Read the header record through csv, then the data lines by
+    :func:`_loadtxt` if ``loadtxt``, or where that gives None, record by
+    record from the same csv reader: the only code that raises
+    :class:`CsvFormatError`.
+
+    The first bad record's error is raised once csv has read the rest of the
+    text, since a csv error comes first wherever it is.
+    """
+    import itertools
+
+    lines = text.splitlines()
+    reader = csv.reader(lines)
+    records = _records(reader)
+    try:
+        first = next(records, None)
+        if first is None:
+            raise CsvFormatError("empty input: no rows")
+        names = label_idx = expected = None
+        if has_header:
+            names = [h.strip() for h in first]
+            if label_column is not None:
+                if label_column not in names:
+                    raise CsvFormatError(f"label column {label_column!r} not found in header")
+                label_idx = names.index(label_column)
+                del names[label_idx]
+            expected = len(first)
+        elif label_column is not None:
+            raise CsvFormatError("a label column requires a header line")
+        else:
+            records = itertools.chain([first], records)
+        arrays = None
+        if loadtxt:
+            arrays = _loadtxt(text, lines, reader.line_num if has_header else 0, expected,
+                              label_idx)
+        vectors, labels = arrays or _convert_records(records, int(has_header), expected,
+                                                     label_idx)
+    except CsvFormatError:
+        for _ in records:
+            pass
+        raise
+    return Dataset(vectors=vectors, column_names=names, labels=labels)
+
+
+def _loadtxt(text: str, lines: list[str], header_lines: int, width: int | None,
+             label_idx: int | None):
+    """The vectors and labels (None without a label column) that the row
+    loop reads from the data lines ``lines[header_lines:]``, parsed by one
+    ``np.loadtxt`` call, or None wherever the two could disagree. Never
+    raises.
+
+    Both convert numbers with the same correctly rounded routine, so they
+    agree on data lines of ASCII text without quotes and control characters
+    (tab, CR and LF aside) below a header of at most one line. loadtxt
+    rejects a row whose field count differs from the first row's; the
+    header's count ``width``, the row count, finite values and known labels
+    are checked here.
     """
     import warnings
 
-    lines = text.splitlines()
     # Only the data lines must be plain. The whole text is tested first,
     # which spares a copy of the data lines when it passes.
-    if not _plain(text) and not (has_header and lines and _plain(text[len(lines[0]):])):
+    if header_lines > 1 or not (
+        _plain(text) or (header_lines and _plain(text[len(lines[0]):]))
+    ):
         return None
-    body = lines[1:] if has_header else lines
+    body = lines[header_lines:]
     rows = len(body) - body.count("")  # csv reads no row from an empty line
-    if rows == 0 or (label_column is not None and not has_header):
+    if rows == 0 or (label_idx is not None and width == 1):
         return None
-    if has_header:
-        reader = csv.reader(lines)
-        try:
-            header = next(reader)
-        except csv.Error:
-            return None
-        if reader.line_num != 1:
-            return None
-    else:
-        header = next(line for line in body if line).split(",")
-    if not header:  # csv reads an empty header line as no fields, not one
-        return None
-    fields = len(header)
-    names = [h.strip() for h in header] if has_header else None
-    label_idx = None
     converters = None
-    if label_column is not None:
-        if label_column not in names or fields == 1:
-            return None
-        label_idx = names.index(label_column)
-        del names[label_idx]
+    if label_idx is not None:
         converters = {label_idx: lambda field: _LABEL_VALUES.get(field.strip(), math.nan)}
     try:
         with warnings.catch_warnings():
@@ -203,15 +246,12 @@ def _load_fast(text: str, has_header: bool, label_column: str | None) -> Dataset
             )
     except (ValueError, Warning):
         return None
-    if data.shape != (rows, fields) or not np.isfinite(data).all():
+    if len(data) != rows or width not in (None, data.shape[1]) or not np.isfinite(data).all():
         return None
     if label_idx is None:
-        return Dataset(vectors=data, column_names=names)
-    return Dataset(
-        vectors=np.delete(data, label_idx, axis=1),
-        column_names=names,
-        labels=data[:, label_idx] == _LABEL_VALUES[LABEL_ANOMALOUS],
-    )
+        return data, None
+    anomalous = data[:, label_idx] == _LABEL_VALUES[LABEL_ANOMALOUS]
+    return np.delete(data, label_idx, axis=1), anomalous
 
 
 def _plain(text: str) -> bool:
@@ -219,63 +259,23 @@ def _plain(text: str) -> bool:
     return text.isascii() and not any(c in text for c in _ROW_BY_ROW_CHARS)
 
 
-def _load_rows(text: str, has_header: bool, label_column: str | None) -> Dataset:
-    """Parse ``text`` row by row with :mod:`csv` and ``float()``; the
-    reference for :func:`_load_fast` and the source of every diagnostic.
-
-    Each record is converted as csv reads it, into one float64 buffer. The
-    first bad record's error is raised once csv has read the rest of the
-    text, since a csv error comes first wherever it is.
-    """
-    records = _records(text.splitlines())
-    try:
-        return _convert_records(records, has_header, label_column)
-    except CsvFormatError:
-        for _ in records:
-            pass
-        raise
-
-
-def _records(lines):
-    """The records :mod:`csv` reads from ``lines``; a csv error raises
+def _records(reader):
+    """The records a csv ``reader`` reads; a csv error raises
     :class:`CsvFormatError` naming the record where it began."""
     count = 0
     try:
-        for count, row in enumerate(csv.reader(lines), 1):
+        for count, row in enumerate(reader, 1):
             yield row
     except csv.Error as exc:  # such as a quoted field longer than csv's limit
         raise CsvFormatError(str(exc), row=count + 1) from None
 
 
-def _convert_records(records, has_header: bool, label_column: str | None) -> Dataset:
-    """The dataset :func:`_load_rows` reads from ``records``, or the
-    :class:`CsvFormatError` of the first bad one."""
+def _convert_records(records, lineno: int, expected: int | None, label_idx: int | None):
+    """The vectors and labels (None without a label column) of the data
+    ``records``, numbered from ``lineno + 1``, or the :class:`CsvFormatError`
+    of the first bad one. Each record is converted as csv reads it, into
+    one float64 buffer."""
     import array
-    import itertools
-
-    first = next(records, None)
-    if first is None:
-        raise CsvFormatError("empty input: no rows")
-    if label_column is not None and not has_header:
-        raise CsvFormatError("a label column requires a header line")
-
-    names: list[str] | None = None
-    label_idx: int | None = None
-    expected: int | None = None
-    lineno = 0
-    if has_header:
-        header = [h.strip() for h in first]
-        if label_column is not None:
-            if label_column not in header:
-                raise CsvFormatError(f"label column {label_column!r} not found in header")
-            label_idx = header.index(label_column)
-            names = [h for i, h in enumerate(header) if i != label_idx]
-        else:
-            names = header
-        expected = len(first)
-        lineno = 1
-    else:
-        records = itertools.chain([first], records)
 
     values = array.array("d")
     labels: list[float] = []
@@ -311,11 +311,7 @@ def _convert_records(records, has_header: bool, label_column: str | None) -> Dat
     if label_idx is not None and expected - 1 == 0:
         raise CsvFormatError("no feature columns besides the label")
     data = np.frombuffer(values, dtype=np.float64).reshape(rows, -1)
-    return Dataset(
-        vectors=data,
-        column_names=names,
-        labels=np.asarray(labels, dtype=bool) if label_idx is not None else None,
-    )
+    return data, np.asarray(labels, dtype=bool) if label_idx is not None else None
 
 
 def _check_fields(row: list[str], lineno: int, label_idx: int | None) -> None:

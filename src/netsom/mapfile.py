@@ -134,7 +134,10 @@ class ArtifactSet:
         path = Path(path)
         tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
         flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
-        fd = os.open(tmp, flags, 0o666)
+        try:
+            fd = os.open(tmp, flags, 0o666)
+        except OSError as exc:  # name the user's path, not the temp name
+            raise type(exc)(exc.errno, exc.strerror, str(path)) from None
         self._staged.append((tmp, path))
         with os.fdopen(fd, "wb") as f:
             f.write(payload)

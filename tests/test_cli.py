@@ -232,6 +232,39 @@ class TestTrainCommand:
         assert now == old
         assert not any(p.name.endswith(".tmp") for p in tmp_path.iterdir())
 
+    def test_failed_report_write_keeps_the_old_artifact_set(
+        self, tmp_path, normal_cluster, capsys
+    ):
+        out = tmp_path / "map.som"
+        assert main(quick_train_args(normal_cluster, out)) == 0
+        old = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        capsys.readouterr()
+        rc = main(quick_train_args(normal_cluster, out, **{
+            "--normalize": "zscore", "--seed": "7",
+            "--report": str(tmp_path / "nodir" / "r.txt"),
+        }))
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: [Errno 2]")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == old
+
+
+@pytest.mark.parametrize("command", ["train", "umatrix", "detect"])
+def test_unwritable_out_names_the_given_path(tmp_path, normal_cluster, capsys, command):
+    out = tmp_path / "map.som"
+    assert main(quick_train_args(normal_cluster, out)) == 0
+    capsys.readouterr()
+    target = str(tmp_path / "nodir" / "out")
+    argv = {
+        "train": quick_train_args(normal_cluster, target),
+        "umatrix": ["umatrix", "--map", str(out), "--out", target],
+        "detect": ["detect", "--map", str(out), "--calibration", normal_cluster,
+                   "--input", normal_cluster, "--out", target],
+    }[command]
+    assert main(argv) == 1
+    # train stages <out>.norm.json first, so its error names that path.
+    named = target + ".norm.json" if command == "train" else target
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {named!r}\n"
+
 
 class TestUmatrixCommand:
     def test_grid_csv_matches_library(self, tmp_path, normal_cluster):

@@ -204,6 +204,19 @@ def _reference_load_rows(text, has_header, label_column):
                    np.asarray(labels, dtype=bool) if label_idx is not None else None)
 
 
+def _loadtxt_results(monkeypatch):
+    """What each call of the loadtxt step returns, in order, from now on."""
+    results = []
+    loadtxt = dataio._loadtxt
+
+    def recorded(*args):
+        results.append(loadtxt(*args))
+        return results[-1]
+
+    monkeypatch.setattr(dataio, "_loadtxt", recorded)
+    return results
+
+
 # A quote that never closes: csv reads on until the field outgrows its limit.
 _UNCLOSED_QUOTE = '"' + "1,2\n" * 50_000
 
@@ -278,16 +291,16 @@ class TestLoadCsv:
         assert _outcome(lambda: load_csv(data, label_column=label_column)) == expected
 
     def test_plain_csv_takes_the_fast_path(self, monkeypatch):
-        def row_by_row(*args):
-            raise AssertionError("parsed row by row")
-
-        monkeypatch.setattr(dataio, "_load_rows", row_by_row)
-        ds = load_csv(b"a,label,b\r\n1, normal,-2.5e-3\r\n\r\n+7,anomalous,.5\r\n",
-                      label_column="label")
+        results = _loadtxt_results(monkeypatch)
+        text = "a,label,b\r\n1, normal,-2.5e-3\r\n\r\n+7,anomalous,.5\r\n"
+        ds = load_csv(text.encode(), label_column="label")
+        assert len(results) == 1 and results[0] is not None
         assert ds.column_names == ["a", "b"]
         assert ds.vectors.tobytes() == np.array([[1.0, -2.5e-3], [7.0, 0.5]]).tobytes()
         assert ds.labels.tolist() == [False, True]
+        assert _outcome(lambda: ds) == _outcome(lambda: dataio._load_rows(text, True, "label"))
         ds = load_csv(b"1,2\n3,4", has_header=False)
+        assert len(results) == 2 and results[1] is not None
         assert ds.column_names is None
         assert np.array_equal(ds.vectors, [[1.0, 2.0], [3.0, 4.0]])
 
@@ -295,30 +308,28 @@ class TestLoadCsv:
         # A spreadsheet export quotes its header; only the data lines decide.
         body = b"1,normal,-2.5e-3\r\n+7,anomalous,.5\r\n"
         plain = load_csv(b"a,label,b c\r\n" + body, label_column="label")
-
-        def row_by_row(*args):
-            raise AssertionError("parsed row by row")
-
-        monkeypatch.setattr(dataio, "_load_rows", row_by_row)
+        results = _loadtxt_results(monkeypatch)
         quoted = load_csv(b'"a","label","b c"\r\n' + body, label_column="label")
+        assert len(results) == 1 and results[0] is not None
         assert _outcome(lambda: quoted) == _outcome(lambda: plain)
-        ds = load_csv('"naïve, or not",b\n1,2\n'.encode())
+        text = '"naïve, or not",b\n1,2\n'
+        ds = load_csv(text.encode())
+        assert len(results) == 2 and results[1] is not None
         assert ds.column_names == ["naïve, or not", "b"]
         assert ds.vectors.tolist() == [[1.0, 2.0]]
+        assert _outcome(lambda: ds) == _outcome(lambda: dataio._load_rows(text, True, None))
 
     @pytest.mark.parametrize("text", [
         '"a","b"\n1,"2"\n',  # a quoted data field
         '"a","b"\n1,٢\n',  # a non-ASCII data field
         '"a\nb",c\n1,2\n',  # a header field that runs on past its line
+        '"a,b\n1,2\n',  # a header quote that never closes
     ])
     def test_quoted_or_odd_data_takes_the_row_by_row_path(self, monkeypatch, text):
-        calls = []
-        row_by_row = dataio._load_rows
-        monkeypatch.setattr(dataio, "_load_rows", lambda *args: calls.append(args) or
-                            row_by_row(*args))
-        ds = load_csv(text.encode())
-        assert len(calls) == 1
-        assert _outcome(lambda: ds) == _outcome(lambda: row_by_row(text, True, None))
+        results = _loadtxt_results(monkeypatch)
+        outcome = _outcome(lambda: load_csv(text.encode()))
+        assert results == [None]
+        assert outcome == _outcome(lambda: dataio._load_rows(text, True, None))
 
     @pytest.mark.parametrize("data, message", [
         (b'"a","b"\n1,2\n3,x\n', "not a number: 'x' (row 3, column 2)"),
@@ -606,6 +617,13 @@ class TestNormalizer:
             ("minmax", {"stats": {"min": [False, 2.0], "max": [1.0, 3.0]}}, "finite values"),
             ("minmax", {"stats": {"min": "02", "max": [1.0, 3.0]}}, "finite values"),
             ("minmax", {"stats": {"min": [0.0, 10**400], "max": [1.0, 3.0]}}, "finite values"),
+            # Statistics that fit_normalizer never writes.
+            ("minmax", {"stats": {"min": [0.0, 2.0], "max": [1.0, 2.0]}},
+             "^minmax column 2: max equals min but the column is not flagged degenerate$"),
+            ("minmax", {"stats": {"min": [1.0, 2.0], "max": [0.0, 3.0]}},
+             "^minmax column 1: max is below min$"),
+            ("zscore", {"stats": {"mean": [0.5, 2.5], "stddev": [0.5, -1.0]}},
+             "^zscore column 2: stddev is negative$"),
         ],
     )
     def test_malformed_json_rejected(self, method, change, message):
