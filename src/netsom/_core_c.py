@@ -9,14 +9,14 @@ argument raises instead of reading or writing arbitrary memory.
 
 Every :meth:`Kernel.bmu_batch` call, a single row too, copies the weights
 into dim-major scratch and searches each row against that copy. A large one
-runs on several threads, one contiguous block of rows each. A
-:meth:`Kernel.run_steps` call on a large map runs as several parts at once,
-one contiguous block of nodes each, which agree on every step's winner
-through shared slots (see ``_kernel.c``); its weights are the one-part
-run's, bit for bit. ctypes releases the GIL for the length of a kernel call,
-so the calls run at once. Each worker thread first moves itself to a CPU of
-its own, which the calling thread keeps off until all calls are done (see
-:meth:`Kernel._run_calls`).
+runs on several threads, one contiguous block of rows each, and each block
+makes its own copy. A :meth:`Kernel.run_steps` call on a large map runs as
+several parts at once, one contiguous block of nodes each, which agree on
+every step's winner through shared slots (see ``_kernel.c``); its weights
+are the one-part run's, bit for bit. ctypes releases the GIL for the length
+of a kernel call, so the calls run at once. Call i of such a split call runs
+on the i-th CPU this thread may use, the calling thread's call first (see
+:func:`_run_calls`).
 """
 
 from __future__ import annotations
@@ -108,7 +108,6 @@ class Kernel:
         self._steps.argtypes = [_PTR, _I64, _I64, _PTR, _PTR, _PTR, _PTR, _I64, _I64,
                                 _I64, _I64, _I64, _I64, _PTR, _PTR]
         self._steps.restype = None
-        self._getcpu = _bind_sched_getcpu()
 
     def bmu_batch(self, weights: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Best matching unit for each row of ``xs`` against ``weights``.
@@ -123,99 +122,18 @@ class Kernel:
 
     def _search_blocks(self, weights, xs, idx, dist, blocks) -> None:
         """Search each (start, stop) block of rows of ``xs`` with its own
-        kernel call and scratch, all at once (see :meth:`_run_calls`)."""
+        kernel call and scratch, all at once (see :func:`_run_calls`)."""
         n_nodes, dim = weights.shape
         w, x, i, d = weights.ctypes.data, xs.ctypes.data, idx.ctypes.data, dist.ctypes.data
         # Dim-major weights and distances for each block. Allocated here, so
         # that a failure raises here. They and the arrays outlive every
         # thread, so the pointers stay valid.
         scratch = [np.empty(n_nodes * (dim + 1)) for _ in blocks]
-        self._run_calls(self._bmu, [
+        _run_calls(self._bmu, [
             (w, n_nodes, dim, x + xs.strides[0] * lo, hi - lo, i + idx.strides[0] * lo,
              d + dist.strides[0] * lo, block_scratch.ctypes.data)
             for (lo, hi), block_scratch in zip(blocks, scratch)
         ])
-
-    def _run_calls(self, kernel, calls, together: bool = False) -> None:
-        """``kernel(*args)`` for every ``args`` of ``calls``, all at once: the
-        first on this thread, each other one on a thread of its own, so a
-        single call starts no thread. Returns when all are done.
-
-        Calls made ``together``, the parts of a split step loop, wait for
-        each other at every step, so were one thread not to start, the
-        others would wait for it for ever. Their workers therefore wait at a
-        gate until every worker has started; where one cannot start, they
-        return without calling, and the error that stopped the start is
-        raised here. Independent calls start at once: waking a worker at a
-        gate made a 4M-term winner search 2-4 ms slower in a new process.
-
-        The workers go to CPUs of their own (see :meth:`_worker_cpus`), and
-        this thread keeps off them until all are done. Left free, it can be
-        woken on a worker's CPU; the parts of a split step loop then take
-        turns there, one yield per step, and a 4 ms call took up to 39 ms."""
-        if len(calls) == 1:
-            kernel(*calls[0])
-            return
-        gate = threading.Event()
-        go = not together
-        if go:
-            gate.set()
-
-        def gated(*args):
-            gate.wait()
-            if go:
-                kernel(*args)
-
-        cpus = self._worker_cpus(len(calls) - 1)
-        threads = [threading.Thread(target=_run_on, args=(cpu, gated, args))
-                   for cpu, args in zip(cpus, calls[1:])]
-        try:
-            for thread in threads:
-                thread.start()
-            go = True
-            gate.set()
-            with self._kept_off(cpus):
-                kernel(*calls[0])
-        finally:
-            gate.set()
-            for thread in threads:
-                if thread.ident is not None:
-                    thread.join()
-
-    @contextlib.contextmanager
-    def _kept_off(self, cpus):
-        """Keep the calling thread off ``cpus`` (None entries aside) for the
-        length of the block. The move only places the work: a refused one is
-        ignored."""
-        if self._getcpu is None:
-            yield
-            return
-        allowed = os.sched_getaffinity(0)
-        rest = allowed - set(cpus)
-        if not rest or rest == allowed:
-            yield
-            return
-        with contextlib.suppress(OSError):
-            os.sched_setaffinity(0, rest)
-        try:
-            yield
-        finally:
-            with contextlib.suppress(OSError):
-                os.sched_setaffinity(0, allowed)
-
-    def _worker_cpus(self, n_workers: int) -> list[int | None]:
-        """A CPU for each worker thread of a split call: the allowed CPUs
-        other than the calling thread's current one, in order; None where
-        none is left or the platform cannot move a thread.
-
-        A new thread starts on its creator's CPU. Where the scheduler does not
-        balance load, as in a cpuset with sched_load_balance off, it stays
-        there, and the calls would run one after another."""
-        if n_workers == 0 or self._getcpu is None:
-            return [None] * n_workers
-        here = self._getcpu()
-        others = [cpu for cpu in sorted(os.sched_getaffinity(0)) if cpu != here]
-        return (others + [None] * n_workers)[:n_workers]
 
     def run_steps(
         self,
@@ -247,7 +165,7 @@ class Kernel:
         # MemoryError. They and the arrays outlive every thread.
         scratch = [np.empty((hi - lo) * (dim + 2) + n_nodes) for lo, hi in parts]
         slots, sync = _slots(len(parts))
-        self._run_calls(self._steps, [
+        _run_calls(self._steps, [
             (weights.ctypes.data, n_nodes, dim, xs.ctypes.data, stimuli.ctypes.data,
              alphas.ctypes.data, sigmas.ctypes.data, n_steps, cols, lo, hi, part, len(parts),
              sync, part_scratch.ctypes.data)
@@ -255,25 +173,85 @@ class Kernel:
         ], together=True)
 
 
-def _bind_sched_getcpu():
-    """libc's sched_getcpu, where the platform can move a thread to a given
-    CPU and libc has it; else None."""
+def _run_calls(kernel, calls, together: bool = False) -> None:
+    """``kernel(*args)`` for every ``args`` of ``calls``, all at once: the
+    first on this thread, each other one on a thread of its own, so a single
+    call starts no thread. Returns when all are done.
+
+    Calls made ``together``, the parts of a split step loop, wait for each
+    other at every step, so were one thread not to start, the others would
+    wait for it for ever. Their workers therefore wait at a gate until every
+    worker has started; where one cannot start, they return without calling,
+    and the error that stopped the start is raised here. Independent calls
+    start at once: waking a worker at a gate made a 4M-term winner search
+    2-4 ms slower in a new process.
+
+    Call i runs on the i-th CPU of :func:`_call_cpus`: each worker moves
+    itself there before it waits at the gate, and this thread stays on the
+    first until its call is done. A new thread starts on its creator's CPU,
+    and where the scheduler does not balance load, as in a cpuset with
+    sched_load_balance off, it stays there. Left free, this thread can be
+    woken on a worker's CPU; the parts of a split step loop then take turns
+    there, one yield per step, and a 4 ms call took up to 39 ms."""
+    if len(calls) == 1:
+        kernel(*calls[0])
+        return
+    gate = threading.Event()
+    go = not together
+    if go:
+        gate.set()
+    cpus = _call_cpus(len(calls))
+
+    def worker(cpu, args):
+        # The move only places the work: the call runs where it fails.
+        if cpu is not None:
+            with contextlib.suppress(OSError):
+                os.sched_setaffinity(0, {cpu})
+        gate.wait()
+        if go:
+            kernel(*args)
+
+    threads = [threading.Thread(target=worker, args=(cpu, args))
+               for cpu, args in zip(cpus[1:], calls[1:])]
+    try:
+        for thread in threads:
+            thread.start()
+        go = True
+        gate.set()
+        with _pinned(cpus[0]):
+            kernel(*calls[0])
+    finally:
+        gate.set()
+        for thread in threads:
+            if thread.ident is not None:
+                thread.join()
+
+
+def _call_cpus(n_calls: int) -> list[int | None]:
+    """A CPU for each call of a split call, the calling thread's first: this
+    thread's allowed CPUs in ascending order, then None where none is left
+    or the platform cannot move a thread."""
     if not hasattr(os, "sched_setaffinity"):
-        return None
-    getcpu = getattr(ctypes.CDLL(None), "sched_getcpu", None)
-    if getcpu is not None:
-        getcpu.argtypes = []
-        getcpu.restype = ctypes.c_int
-    return getcpu
+        return [None] * n_calls
+    return (sorted(os.sched_getaffinity(0)) + [None] * n_calls)[:n_calls]
 
 
-def _run_on(cpu: int | None, kernel, args) -> None:
-    """``kernel(*args)`` on this thread, first moved to ``cpu`` unless it is
-    None. The move only places the work: the call runs where it fails."""
-    if cpu is not None:
+@contextlib.contextmanager
+def _pinned(cpu: int | None):
+    """Keep the calling thread on ``cpu`` (unless None) for the length of
+    the block, then give it back its affinity. The move only places the
+    work: a refused one is ignored."""
+    if cpu is None:
+        yield
+        return
+    allowed = os.sched_getaffinity(0)
+    with contextlib.suppress(OSError):
+        os.sched_setaffinity(0, {cpu})
+    try:
+        yield
+    finally:
         with contextlib.suppress(OSError):
-            os.sched_setaffinity(0, {cpu})
-    kernel(*args)
+            os.sched_setaffinity(0, allowed)
 
 
 def _row_blocks(n_rows: int, terms_per_row: int) -> list[tuple[int, int]]:

@@ -86,8 +86,8 @@ def entry() -> None:
 
 
 def run_train(args) -> int:
-    dataset = load_csv(args.input, has_header=not args.no_header, label_column=args.label_column)
     init_seed, train_seed, split_seed = _derive_seeds(args.seed)
+    dataset = load_csv(args.input, has_header=not args.no_header, label_column=args.label_column)
 
     held_out: list[tuple[str, Dataset]] = []
     if args.split is not None:
@@ -237,6 +237,8 @@ def _bounds_of(dataset: Dataset) -> np.ndarray:
 
 def _derive_seeds(seed: int) -> tuple[int, int, int]:
     """Independent child seeds (init, stimulus, split) from the one user seed."""
+    if seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {seed}")
     children = np.random.SeedSequence(seed).spawn(3)
     return tuple(int(c.generate_state(1, dtype=np.uint64)[0]) for c in children)
 

@@ -1,19 +1,20 @@
 """CSV ingestion, feature normalization, and seeded dataset splitting.
 
-Accepted CSV dialect: UTF-8 text, cut into lines where ``str.splitlines``
-cuts it: at LF and CRLF, but also at a lone CR, VT, FF, \\x1c-\\x1e, NEL,
-U+2028 and U+2029. Empty lines are skipped; a line of spaces is a row.
-Fields are split at commas by the ``csv`` module's default dialect, so a
-field that starts with a double quote is unquoted, may hold commas, and may
-run on into the next line (the line break is dropped). An optional first
-line is the header. An optional label column, named in the header, holds
-``normal`` or ``anomalous``, with surrounding whitespace ignored. Every
-other field must be a number that Python's ``float()`` reads as finite:
-surrounding whitespace, a sign, a leading or trailing '.', an exponent,
-underscores between digits and non-ASCII decimal digits are accepted;
-``nan``, ``inf`` and values beyond the float range are rejected.
-Categorical features must be pre-encoded to numbers upstream (as KDD-style
-pipelines do).
+Accepted CSV dialect: UTF-8 text, whose one leading byte-order mark, if
+any, is dropped (a U+FEFF anywhere else is a field character), cut into
+lines where ``str.splitlines`` cuts it: at LF and CRLF, but also at a lone
+CR, VT, FF, \\x1c-\\x1e, NEL, U+2028 and U+2029. Empty lines are skipped;
+a line of spaces is a row. Fields are split at commas by the ``csv``
+module's default dialect, so a field that starts with a double quote is
+unquoted, may hold commas, and may run on into the next line (the line
+break is dropped). An optional first line is the header. An optional label
+column, named in the header, holds ``normal`` or ``anomalous``, with
+surrounding whitespace ignored. Every other field must be a number that
+Python's ``float()`` reads as finite: surrounding whitespace, a sign, a
+leading or trailing '.', an exponent, underscores between digits and
+non-ASCII decimal digits are accepted; ``nan``, ``inf`` and values beyond
+the float range are rejected. Categorical features must be pre-encoded to
+numbers upstream (as KDD-style pipelines do).
 
 One parser reads the text: ``csv`` reads the header record, which may be
 quoted, and the data lines go to one ``np.loadtxt`` call when they are ASCII
@@ -557,15 +558,17 @@ def _take(data: Dataset, indices: np.ndarray) -> Dataset:
 
 
 def _read_text(source) -> str:
+    """The text of ``source`` (bytes, a path, or a binary or text file
+    object), without one leading byte-order mark."""
     if isinstance(source, bytes):
-        raw = source
+        text = source
     elif hasattr(source, "read"):
-        raw = source.read()
-        if isinstance(raw, str):
-            return raw
+        text = source.read()
     else:
-        raw = Path(source).read_bytes()
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CsvFormatError(f"input is not valid UTF-8: {exc}") from None
+        text = Path(source).read_bytes()
+    if not isinstance(text, str):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CsvFormatError(f"input is not valid UTF-8: {exc}") from None
+    return text.removeprefix("\ufeff")

@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,21 +165,18 @@ class TestParallelBmuParity:
 
     @pytest.mark.parametrize("n_rows", [0, 1])
     def test_tiny_batch_starts_no_thread_and_asks_no_cpu(self, compiled, monkeypatch, n_rows):
-        class NoThread:
-            def __init__(self, *args, **kwargs):
-                raise AssertionError("a thread was started")
-
-        def no_getcpu():
-            raise AssertionError("sched_getcpu was called")
-
+        moves = []
         monkeypatch.setattr(_core_c, "PARALLEL_MIN_TERMS", 1)
-        monkeypatch.setattr(threading, "Thread", NoThread)
-        monkeypatch.setattr(compiled, "_getcpu", no_getcpu)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: moves.append(cpus),
+                            raising=False)
         weights, xs = random_case(np.random.default_rng(12), n_inputs=2)
-        with pytest.raises(AssertionError, match="sched_getcpu was called"):
-            compiled.bmu_batch(weights, xs)
+        assert_search_bit_equal(compiled, weights, xs)
+        assert {0} in moves and {1} in moves
+        moves.clear()
+        monkeypatch.setattr(threading, "Thread", NoThread)
         assert_search_bit_equal(compiled, weights, xs[:n_rows])
+        assert moves == []
 
     def test_cpu_count_without_affinity(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -187,44 +185,57 @@ class TestParallelBmuParity:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert _core_c._usable_cpus() == 1
 
-    def test_workers_go_to_the_other_cpus(self, compiled, monkeypatch):
-        monkeypatch.setattr(compiled, "_getcpu", lambda: 1)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        assert compiled._worker_cpus(2) == [0, 2]
-        assert compiled._worker_cpus(3) == [0, 2, None]
-        monkeypatch.setattr(compiled, "_getcpu", None)
-        assert compiled._worker_cpus(2) == [None, None]
-
-    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no thread affinity")
-    def test_worker_moves_to_its_cpu(self):
-        cpu = min(os.sched_getaffinity(0))
-        seen = []
-        worker = threading.Thread(target=_core_c._run_on,
-                                  args=(cpu, lambda: seen.append(os.sched_getaffinity(0)), ()))
-        worker.start()
-        worker.join(timeout=10)
-        assert not worker.is_alive()
-        assert seen == [{cpu}]
+    def test_call_i_goes_to_the_ith_allowed_cpu(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2, 0, 1}, raising=False)
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None, raising=False)
+        assert _core_c._call_cpus(2) == [0, 1]
+        assert _core_c._call_cpus(4) == [0, 1, 2, None]
+        monkeypatch.delattr(os, "sched_setaffinity")
+        assert _core_c._call_cpus(2) == [None, None]
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
                         or len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
-    def test_calling_thread_keeps_off_the_workers_cpu(self, compiled):
-        allowed = os.sched_getaffinity(0)
+    def test_worker_moves_to_its_cpu(self):
+        cpus = sorted(os.sched_getaffinity(0))
         seen = {}
-        compiled._run_calls(lambda who: seen.update({who: os.sched_getaffinity(0)}),
-                            [("caller",), ("worker",)])
-        assert len(seen["worker"]) == 1
-        assert seen["caller"] == allowed - seen["worker"]
+        _core_c._run_calls(lambda who: seen.update({who: os.sched_getaffinity(0)}),
+                           [("caller",), ("worker",)])
+        assert seen["worker"] == {cpus[1]}
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                        or len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+    def test_calling_thread_keeps_off_the_workers_cpu(self):
+        allowed = os.sched_getaffinity(0)
+        cpus = sorted(allowed)
+        seen = {}
+        calls = [(who,) for who in range(min(len(cpus), 3))]
+        _core_c._run_calls(lambda who: seen.update({who: os.sched_getaffinity(0)}), calls)
+        assert seen[0] == {cpus[0]}
+        assert all(seen[0].isdisjoint(seen[who]) for who in range(1, len(calls)))
+        assert os.sched_getaffinity(0) == allowed
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                        or len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+    def test_calling_thread_gets_its_cpus_back_when_its_call_raises(self):
+        allowed = os.sched_getaffinity(0)
+
+        def call(who):
+            if who == "caller":
+                raise RuntimeError("the kernel failed")
+
+        with pytest.raises(RuntimeError, match="the kernel failed"):
+            _core_c._run_calls(call, [("caller",), ("worker",)])
         assert os.sched_getaffinity(0) == allowed
 
     def test_search_runs_where_the_move_fails(self, monkeypatch):
         def refuse(pid, cpus):
             raise OSError("no such CPU")
 
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 12345}, raising=False)
         monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
         ran = []
-        _core_c._run_on(12345, lambda *args: ran.append(args), (1, 2))
-        assert ran == [(1, 2)]
+        _core_c._run_calls(lambda *args: ran.append(args), [(1, 2), (3, 4), (5, 6)])
+        assert sorted(ran) == [(1, 2), (3, 4), (5, 6)]
 
 
 def stub_library(tmp_path, source):
@@ -641,6 +652,58 @@ class TestSplitRunStepsThreads:
         assert raised == ["can't start new thread"]
         assert len(starts) == 2 and not starts[0].is_alive()
         assert_same_bits(got, start)
+
+
+# Splits a winner search and a step loop in two, forks, and makes both calls
+# again in the child, which exits 0 only if it got the parent's bits. A pool
+# of threads made before the fork, which the child does not have, would
+# leave the child waiting; SIGALRM then kills it.
+FORK_SCRIPT = """
+import os, signal, sys, traceback
+import numpy as np
+from netsom import _core_c
+
+kernel = _core_c.Kernel(sys.argv[1])
+_core_c._usable_cpus = lambda: 2
+_core_c.PARALLEL_MIN_TERMS = 1
+_core_c.STEP_PART_MIN_TERMS = _core_c.STEP_CALL_MIN_TERMS = 1
+rng = np.random.default_rng(3)
+start = rng.uniform(0, 1, size=(64, 5))
+data = rng.uniform(0, 1, size=(40, 5))
+stimuli = rng.integers(0, 40, size=300).astype(np.int64)
+alphas, sigmas = np.linspace(0.5, 0.01, 300), np.linspace(3.0, 0.5, 300)
+
+
+def both():
+    assert len(_core_c._row_blocks(40, 64 * 5)) == len(_core_c._node_parts(64, 5, 300)) == 2
+    weights = start.copy()
+    kernel.run_steps(weights, data, stimuli, alphas, sigmas, 8)
+    return [a.tobytes() for a in (weights, *kernel.bmu_batch(weights, data))]
+
+
+parent = both()
+pid = os.fork()
+if pid == 0:
+    code = 4
+    try:
+        signal.alarm(30)
+        code = 0 if both() == parent else 3
+    except BaseException:
+        traceback.print_exc()
+    finally:
+        os._exit(code)
+print("child exit", os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
+def test_split_calls_work_after_fork(kernel_library):
+    src = Path(_core_c.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", FORK_SCRIPT, str(kernel_library)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "child exit 0\n", "")
 
 
 def steps_args(**changes):

@@ -110,6 +110,14 @@ class TestTrainCommand:
         assert main(["train", "--input", str(bad), "--out", str(out)]) != 0
         assert not out.exists()
 
+    def test_negative_seed_is_an_error(self, tmp_path, normal_cluster, capsys):
+        out = tmp_path / "m.som"
+        assert main(quick_train_args(normal_cluster, out, **{"--seed": "-1"})) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --seed must be a non-negative integer, got -1\n"
+        assert not out.exists()
+
     def test_data_range_that_overflows_is_an_error(self, tmp_path, capsys):
         data = np.tile([[1.7e308, 0.0], [-1.7e308, 1.0]], (25, 1))
         csv_path = write_csv(tmp_path / "huge.csv", data, header=["f0", "f1"])

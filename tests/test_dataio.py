@@ -284,6 +284,40 @@ class TestLoadCsv:
         with open(p, "rb") as fh:
             assert np.array_equal(load_csv(fh).vectors, [[1.0], [2.0]])
 
+    @pytest.mark.parametrize("text, has_header, label_column", [
+        ("label,a\nnormal,0.5\nanomalous,-1\n", True, "label"),
+        ("0.6369616873214543,1\n-1,2\n", False, None),
+        ("a,b\n0.5,1\n-1,2\n", True, None),
+    ])
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path, text, has_header, label_column):
+        # As spreadsheet "CSV UTF-8" exports write it.
+        expected = _outcome(lambda: load_csv(text.encode(), has_header, label_column))
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        sources = [lambda: path.read_bytes(), lambda: path, lambda: io.BytesIO(path.read_bytes()),
+                   lambda: io.StringIO(path.read_text(encoding="utf-8"))]
+        for source in sources:
+            got = _outcome(lambda: load_csv(source(), has_header, label_column))
+            assert got == expected
+
+    @pytest.mark.parametrize("data, has_header, message", [
+        (b"\xef\xbb\xbfa,b\n1,2\n3,x\n", True, "not a number: 'x' (row 3, column 2)"),
+        (b"\xef\xbb\xbfx,1\n", False, "not a number: 'x' (row 1, column 1)"),
+        # Only one leading mark is dropped; any other is a field character.
+        (b"\xef\xbb\xbf\xef\xbb\xbf1,2\n", False, "not a number: '\\ufeff1' (row 1, column 1)"),
+        (b"a,b\n1,\xef\xbb\xbf2\n", True, "not a number: '\\ufeff2' (row 2, column 2)"),
+    ])
+    def test_byte_order_mark_keeps_row_and_column_in_errors(self, data, has_header, message):
+        with pytest.raises(CsvFormatError) as raised:
+            load_csv(data, has_header)
+        assert str(raised.value) == message
+
+    def test_invalid_utf8_rejected(self):
+        with pytest.raises(CsvFormatError) as raised:
+            load_csv(b"\xef\xbb\xbfa\n\xff\n")
+        assert str(raised.value) == ("input is not valid UTF-8: 'utf-8' codec can't decode "
+                                     "byte 0xff in position 5: invalid start byte")
+
     @pytest.mark.parametrize("data, label_column, expected", DIALECT)
     def test_dialect(self, data, label_column, expected):
         if isinstance(expected, Dataset):
