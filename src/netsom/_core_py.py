@@ -1,8 +1,9 @@
 """Pure numpy implementation of the training hot path.
 
-Fallback for when the compiled extension is not built. Squared distances
-accumulate one dimension at a time so that results are bit-identical to the
-compiled kernels wherever no transcendental function is involved.
+Fallback for when the compiled extension is not built. It follows the
+compiled kernel's rules, so both give the same bits: squared distances
+accumulate one dimension at a time, the winner is the first strict minimum,
+and the neighbourhood factors come from libm's ``exp``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ def bmu_batch(weights: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarr
     dist = np.empty(n_inputs, dtype=np.float64)
     for j in range(n_inputs):
         d2 = sq_norms(weights - xs[j])
-        best = int(np.argmin(d2))  # argmin keeps the first minimum
+        best = first_min(d2)
         idx[j] = best
         dist[j] = math.sqrt(d2[best])
     return idx, dist
@@ -39,39 +40,52 @@ def run_steps(
     cols: int,
 ) -> None:
     """Run one winner-search-and-update step per stimulus, in place."""
-    lattice = node_coords(weights.shape[0], cols)
+    offsets = lattice_offsets(weights.shape[0] // cols, cols)
     for t in range(stimuli.shape[0]):
+        if t == 0 or sigmas[t] != sigmas[t - 1]:
+            table = factor_table(offsets, float(sigmas[t]))
         diff = xs[stimuli[t]] - weights
-        c = int(np.argmin(sq_norms(diff)))
-        pull(weights, diff, c, alphas[t], sigmas[t], lattice)
+        pull(weights, diff, first_min(sq_norms(diff)), alphas[t], table)
 
 
-def node_coords(n_nodes: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lattice row and column of every node, in row-major node order."""
-    nodes = np.arange(n_nodes)
-    return (nodes // cols).astype(np.float64), (nodes % cols).astype(np.float64)
+def first_min(d2: np.ndarray) -> int:
+    """Index of the first strict minimum of ``d2``, the compiled kernel's
+    winner: a NaN compares below nothing, so it wins only at index 0."""
+    c = int(np.argmin(d2))  # the first minimum, or the first NaN
+    if c and math.isnan(d2[c]):
+        c = int(np.nanargmin(d2))
+    return c
+
+
+def lattice_offsets(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Squared lengths of the lattice offsets (dr, dc) of a ``rows`` x
+    ``cols`` map: the distinct lengths, and at ``[rows - 1 + dr,
+    cols - 1 + dc]`` the index of each offset's length among them."""
+    dr = np.arange(1 - rows, rows)[:, None]
+    dc = np.arange(1 - cols, cols)
+    lengths, at = np.unique(dr * dr + dc * dc, return_inverse=True)
+    return lengths.astype(np.float64), at.reshape(dr.size, dc.size)
+
+
+def factor_table(offsets: tuple[np.ndarray, np.ndarray], sigma: float) -> np.ndarray:
+    """Gaussian factor ``exp(-(dr^2 + dc^2) / (2 sigma^2))``, by libm's exp,
+    of every offset of :func:`lattice_offsets`, at the same place: the
+    compiled kernel's table, which keeps it at ``|dr| * cols + |dc|``."""
+    lengths, at = offsets
+    arg = -lengths / (2.0 * sigma * sigma)
+    return np.fromiter(map(math.exp, arg.tolist()), np.float64, lengths.size)[at]
 
 
 def pull(
-    weights: np.ndarray,
-    diff: np.ndarray,
-    c: int,
-    alpha: float,
-    sigma: float,
-    lattice: tuple[np.ndarray, np.ndarray],
+    weights: np.ndarray, diff: np.ndarray, c: int, alpha: float, table: np.ndarray
 ) -> None:
-    """Gaussian neighbourhood pull toward an input ``x`` around winner ``c``,
-    in place: ``w_i += alpha * exp(-|r_c - r_i|^2 / (2 sigma^2)) * (x - w_i)``.
-
-    ``diff`` is ``x - weights`` before the pull and ``lattice`` is
-    :func:`node_coords` of the map.
-    """
-    node_rows, node_cols = lattice
-    dr = node_rows - node_rows[c]
-    dc = node_cols - node_cols[c]
-    lat2 = dr * dr + dc * dc
-    h = alpha * np.exp(-lat2 / (2.0 * sigma * sigma))
-    weights += h[:, None] * diff
+    """``w_i += alpha * g_i * (x - w_i)`` in place, where ``diff`` is ``x -
+    weights`` and ``g_i`` is the :func:`factor_table` entry of node i's
+    lattice offset from winner ``c``."""
+    rows, cols = (table.shape[0] + 1) // 2, (table.shape[1] + 1) // 2
+    r, q = divmod(c, cols)
+    h = alpha * table[rows - 1 - r:2 * rows - 1 - r, cols - 1 - q:2 * cols - 1 - q]
+    weights += h.reshape(-1, 1) * diff
 
 
 def sq_norms(diff: np.ndarray) -> np.ndarray:

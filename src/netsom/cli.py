@@ -244,10 +244,13 @@ def _derive_seeds(seed: int) -> tuple[int, int, int]:
 
 
 def _parse_fractions(text: str) -> tuple[float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError("--split needs three comma-separated fractions, e.g. 0.8,0.1,0.1")
-    return tuple(float(p) for p in parts)
+    try:
+        first, second, third = map(float, text.split(","))
+    except ValueError:
+        raise ValueError(
+            f"--split needs three comma-separated fractions, e.g. 0.8,0.1,0.1, got {text!r}"
+        ) from None
+    return first, second, third
 
 
 def _normalizer_path(map_path, override) -> str:

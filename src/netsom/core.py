@@ -224,7 +224,8 @@ def adapt(som: SomMap, x, c: int, alpha: float, sigma: float) -> SomMap:
         raise ValueError(f"winner index {c} out of range for {som.shape.node_count} nodes")
     _check_rates(alpha, sigma)
     w = som.weights.copy()
-    _core_py.pull(w, v - w, c, alpha, sigma, _core_py.node_coords(w.shape[0], som.shape.cols))
+    offsets = _core_py.lattice_offsets(som.shape.rows, som.shape.cols)
+    _core_py.pull(w, v - w, c, alpha, _core_py.factor_table(offsets, sigma))
     return replace(som, weights=w, steps_trained=som.steps_trained + 1)
 
 

@@ -55,10 +55,18 @@ def bmu_cases(kind):
         scales = 10.0 ** rng.uniform(-150, 150, size=7)
         cases.append((weights * scales, xs * scales))
         return cases
+    if kind == "nan_node":
+        # A NaN distance never compares below another, so it wins only at
+        # node 0; a first-NaN search such as np.argmin would pick node 17.
+        first, later = random_case(rng), random_case(rng)
+        first[0][0, 2] = np.nan
+        later[0][17, 4] = np.nan
+        return [first, later]
     raise ValueError(kind)
 
 
-BMU_KINDS = ["random", "exact_ties", "duplicate_nodes", "input_on_node", "dim_1", "magnitudes"]
+BMU_KINDS = ["random", "exact_ties", "duplicate_nodes", "input_on_node", "dim_1", "magnitudes",
+             "nan_node"]
 
 
 class TestBmuParity:
@@ -68,7 +76,7 @@ class TestBmuParity:
             i_py, d_py = _core_py.bmu_batch(weights, xs)
             i_c, d_c = compiled.bmu_batch(weights, xs)
             assert np.array_equal(i_py, i_c)
-            assert np.array_equal(d_py, d_c)
+            assert_same_bits(d_c, d_py)
             # One row per call, as find_bmu and anomaly.score search.
             for j in range(len(xs)):
                 i_1, d_1 = compiled.bmu_batch(weights, xs[j:j + 1])
@@ -286,14 +294,10 @@ class TestStaleLibrary:
 
 
 def steps_case(kind, rng, shape, n_data=120):
-    """(data, start weights, scale) for one training run.
-
-    Weights are compared in units of ``scale``, the magnitude of the data.
-    """
+    """(data, start weights) for one training run."""
     dim = 1 if kind == "dim_1" else 3
     data = rng.uniform(0, 1, size=(n_data, dim))
     start = rng.uniform(0, 1, size=(shape.node_count, dim))
-    scale = 1.0
     if kind == "exact_ties":
         data = rng.integers(0, 3, size=data.shape) / 2.0
         start = rng.integers(0, 3, size=start.shape) / 2.0
@@ -304,11 +308,14 @@ def steps_case(kind, rng, shape, n_data=120):
     elif kind.startswith("scale_"):
         scale = float(kind[len("scale_"):])
         data, start = data * scale, start * scale
-    return np.ascontiguousarray(data), np.ascontiguousarray(start), scale
+    elif kind == "nan_node":
+        # Node 5 never wins, though a first-NaN search would pick it.
+        start[5, 1] = np.nan
+    return np.ascontiguousarray(data), np.ascontiguousarray(start)
 
 
 STEPS_KINDS = ["random", "exact_ties", "duplicate_nodes", "input_on_node", "dim_1",
-               "scale_1e-150", "scale_1e150"]
+               "scale_1e-150", "scale_1e150", "nan_node"]
 
 
 class TestRunStepsParity:
@@ -316,7 +323,7 @@ class TestRunStepsParity:
     def test_trained_weights_agree(self, compiled, kind):
         rng = np.random.default_rng(1)
         shape = GridShape(8, 8)
-        data, start, scale = steps_case(kind, rng, shape)
+        data, start = steps_case(kind, rng, shape)
         schedule = TrainingSchedule(total_steps=2000, sigma_start=4.0)
         alphas, sigmas = _schedule_arrays(schedule)
         stimuli = np.ascontiguousarray(
@@ -326,7 +333,23 @@ class TestRunStepsParity:
         w_c = start.copy()
         _core_py.run_steps(w_py, data, stimuli, alphas, sigmas, shape.cols)
         compiled.run_steps(w_c, data, stimuli, alphas, sigmas, shape.cols)
-        np.testing.assert_allclose(w_c / scale, w_py / scale, rtol=0, atol=1e-12)
+        assert_same_bits(w_c, w_py)
+
+    def test_sigma_changing_at_every_step(self, compiled):
+        # A 12x12 map whose ordering stage fills the whole run, so every step
+        # needs new factors, and libm's exp must give each of them.
+        rng = np.random.default_rng(4)
+        start = rng.uniform(0, 1, size=(144, 3))
+        data = rng.uniform(0, 1, size=(60, 3))
+        alphas, sigmas = _schedule_arrays(
+            TrainingSchedule(total_steps=300, ordering_steps=300, sigma_start=6.0))
+        assert len(np.unique(sigmas)) == 300
+        stimuli = rng.integers(0, 60, size=300).astype(np.int64)
+        w_py = start.copy()
+        w_c = start.copy()
+        _core_py.run_steps(w_py, data, stimuli, alphas, sigmas, 12)
+        compiled.run_steps(w_c, data, stimuli, alphas, sigmas, 12)
+        assert_same_bits(w_c, w_py)
 
     def test_single_step_matches_public_adapt(self, compiled):
         rng = np.random.default_rng(3)
@@ -344,7 +367,7 @@ class TestRunStepsParity:
                 np.full(1, 0.4), np.full(1, 1.5),
                 shape.cols,
             )
-            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+            assert_same_bits(got, expected)
 
 
 def oracle_steps(weights, xs, stimuli, alphas, sigmas, cols) -> np.ndarray:
@@ -358,7 +381,7 @@ def oracle_steps(weights, xs, stimuli, alphas, sigmas, cols) -> np.ndarray:
 
 
 def assert_same_bits(got, expected):
-    """Equal as bit patterns, so -0.0 differs from 0.0."""
+    """Equal as bit patterns, so -0.0 differs from 0.0 and a NaN equals itself."""
     np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
@@ -468,7 +491,7 @@ class TestSplitRunStepsMatchesOnePart:
     @pytest.mark.parametrize("kind", STEPS_KINDS)
     def test_steps_kinds(self, compiled, monkeypatch, kind, n_parts):
         shape = GridShape(8, 8)
-        data, start, _ = steps_case(kind, np.random.default_rng(1), shape)
+        data, start = steps_case(kind, np.random.default_rng(1), shape)
         alphas, sigmas = _schedule_arrays(TrainingSchedule(total_steps=2000, sigma_start=4.0))
         stimuli = np.random.default_rng(2).integers(0, 120, size=2000).astype(np.int64)
         args = (data, stimuli, alphas, sigmas, shape.cols)
@@ -523,6 +546,15 @@ class TestRunStepsParitySingleTarget(OnTheSingleTargetBuild, TestRunStepsParity)
 
 class TestRunStepsMatchesOracleSingleTarget(OnTheSingleTargetBuild, TestRunStepsMatchesOracle):
     pass
+
+
+class TestNumpyRunStepsMatchesOracle(TestRunStepsMatchesOracle):
+    """Every oracle case again on the numpy backend, which follows the
+    kernel's winner and factor rules."""
+
+    @pytest.fixture
+    def compiled(self):
+        return _core_py
 
 
 class TestSplitRunStepsMatchesOracleSingleTarget(OnTheSingleTargetBuild,
@@ -796,3 +828,13 @@ class TestBackendSelection:
         )
         expected = "compiled" if _core_c.built_library() is not None else "python"
         assert out.stdout.strip() == expected
+
+    def test_unknown_value_is_refused(self):
+        env = dict(os.environ, NETSOM_BACKEND="fast")
+        out = subprocess.run(
+            [sys.executable, "-c", "import netsom"], env=env, capture_output=True, text=True
+        )
+        assert out.returncode == 1
+        assert out.stderr.splitlines()[-1] == (
+            "ImportError: unknown NETSOM_BACKEND value 'fast'; use 'python' or 'compiled'"
+        )

@@ -210,6 +210,28 @@ class TestTrainCommand:
             tmp_path / "b.som.calibration.csv"
         ).read_bytes()
 
+    @pytest.mark.parametrize("text", ["a,b,c", "0.8,0.2"])
+    def test_split_that_is_not_three_numbers_names_the_flag(self, tmp_path, normal_cluster,
+                                                           capsys, text):
+        out = tmp_path / "m.som"
+        assert main(quick_train_args(normal_cluster, out, **{"--split": text})) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: --split needs three comma-separated fractions, "
+                                f"e.g. 0.8,0.1,0.1, got {text!r}\n")
+        assert not out.exists()
+
+    def test_split_with_no_training_rows_keeps_the_old_map(self, tmp_path, normal_cluster,
+                                                          capsys):
+        out = tmp_path / "m.som"
+        assert main(quick_train_args(normal_cluster, out)) == 0
+        old = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        capsys.readouterr()
+        assert main(quick_train_args(normal_cluster, out, **{"--split": "0,1,0"})) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: split left no rows to train on\n")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == old
+
     @pytest.mark.parametrize("failing_call", [1, 2, 4])
     def test_failed_write_keeps_the_old_artifact_set(
         self, tmp_path, normal_cluster, capsys, monkeypatch, failing_call

@@ -241,8 +241,9 @@ class TestAdapt:
             alpha = float(rng.uniform(0.05, 1.0))
             sigma = float(rng.uniform(0.5, 5.0))
             out = adapt(som, x, c, alpha, sigma)
-            expected = oracle_adapt(w.tolist(), x.tolist(), c, alpha, sigma, cols=4)
-            np.testing.assert_allclose(out.weights, expected, rtol=0, atol=1e-12)
+            expected = np.array(oracle_adapt(w.tolist(), x.tolist(), c, alpha, sigma, cols=4))
+            # Bit for bit: adapt applies kernel()'s factor, libm's exp included.
+            np.testing.assert_array_equal(out.weights.view(np.uint64), expected.view(np.uint64))
 
     def test_winner_contracts_toward_stimulus(self):
         rng = np.random.default_rng(9)

@@ -693,6 +693,14 @@ class TestSplit:
         tr, cal, te = split(self._dataset(), (0.8, 0.1, 0.1), seed=1)
         assert (len(tr), len(cal), len(te)) == (8, 1, 1)
 
+    def test_rounding_overshoot_leaves_train_empty_not_negative(self):
+        # One row: 0.5 rounds up to one row for both calibrate and test.
+        ds = self._dataset(1)
+        tr, cal, te = split(ds, (0.0, 0.5, 0.5), seed=1)
+        assert (len(tr), len(cal), len(te)) == (0, 1, 0)
+        assert np.array_equal(cal.vectors, ds.vectors)
+        assert np.array_equal(cal.labels, ds.labels)
+
     def test_same_seed_same_partitions(self):
         a = split(self._dataset(), (0.6, 0.2, 0.2), seed=5)
         b = split(self._dataset(), (0.6, 0.2, 0.2), seed=5)
