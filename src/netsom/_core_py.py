@@ -72,7 +72,8 @@ def factor_table(offsets: tuple[np.ndarray, np.ndarray], sigma: float) -> np.nda
     of every offset of :func:`lattice_offsets`, at the same place: the
     compiled kernel's table, which keeps it at ``|dr| * cols + |dc|``."""
     lengths, at = offsets
-    arg = -lengths / (2.0 * sigma * sigma)
+    with np.errstate(over="ignore"):  # a tiny 2 sigma^2: -inf, so factor 0
+        arg = -lengths / (2.0 * sigma * sigma)
     return np.fromiter(map(math.exp, arg.tolist()), np.float64, lengths.size)[at]
 
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from netsom.core import SomMap, find_bmus
 from netsom.dataio import Dataset, json_fields
-from netsom.mapfile import write_text
 
 BASELINE_FORMAT_VERSION = 1
 VERDICT_CSV_HEADER = "index,bmu,residual,is_anomalous"
@@ -114,17 +113,13 @@ def evaluate(baseline: AnomalyBaseline, labeled: Dataset) -> EvalSummary:
     )
 
 
-def render_verdicts(bmu, residual, flags, destination=None) -> str:
+def render_verdicts(bmu, residual, flags) -> str:
     """Render the arrays that ``residuals`` returns as CSV with the header
     ``index,bmu,residual,is_anomalous``, one line per row in row order, indexed
-    from 0. A residual prints as a Python float's ``repr``, at full precision.
-    Writes to ``destination`` when given, atomically when it is a path."""
+    from 0. A residual prints as a Python float's ``repr``, at full precision."""
     rows = zip(bmu.tolist(), residual.tolist(), flags.tolist())
     lines = [f"{i},{b},{r!r},{'true' if f else 'false'}\n" for i, (b, r, f) in enumerate(rows)]
-    payload = VERDICT_CSV_HEADER + "\n" + "".join(lines)
-    if destination is not None:
-        write_text(destination, payload)
-    return payload
+    return VERDICT_CSV_HEADER + "\n" + "".join(lines)
 
 
 def baseline_to_json_dict(baseline: AnomalyBaseline) -> dict:

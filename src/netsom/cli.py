@@ -170,7 +170,7 @@ def run_detect(args) -> int:
     with ArtifactSet() as artifacts:
         if args.save_baseline is not None:
             _write_json(artifacts.file(args.save_baseline), baseline_to_json_dict(baseline))
-        render_verdicts(bmu, residual, flags, artifacts.file(args.out))
+        write_text(artifacts.file(args.out), render_verdicts(bmu, residual, flags))
 
     total = len(flags)
     flagged = int(flags.sum())

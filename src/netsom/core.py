@@ -117,12 +117,12 @@ class TrainingSchedule:
             raise ValueError("total_steps must be nonnegative")
         if not 0 <= self.ordering_steps <= self.total_steps:
             raise ValueError("ordering_steps must lie in [0, total_steps]")
-        if not 0.0 < self.alpha_end <= self.alpha_mid <= self.alpha_start <= 1.0:
-            raise ValueError(
-                "learning rates must satisfy 0 < alpha_end <= alpha_mid <= alpha_start <= 1"
-            )
-        if not 0.0 < self.sigma_end <= self.sigma_start:
-            raise ValueError("widths must satisfy 0 < sigma_end <= sigma_start")
+        _check_rates(self.alpha_start, self.sigma_start)
+        _check_rates(self.alpha_end, self.sigma_end)
+        if not self.alpha_end <= self.alpha_mid <= self.alpha_start:
+            raise ValueError("learning rates must satisfy alpha_end <= alpha_mid <= alpha_start")
+        if not self.sigma_end <= self.sigma_start:
+            raise ValueError("widths must satisfy sigma_end <= sigma_start")
 
     @classmethod
     def default_for(
@@ -351,7 +351,10 @@ def _schedule_values(
 
 
 def _check_rates(alpha: float, sigma: float) -> None:
+    """The one rule on rates and widths. ``2 sigma^2``, the denominator both
+    kernels compute, must not underflow to 0; it is computed in Python floats,
+    which overflow to inf silently, as the kernels do."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not (sigma > 0.0 and math.isfinite(sigma) and 2.0 * float(sigma) * float(sigma) > 0.0):
+        raise ValueError(f"sigma must be finite and large enough that 2 sigma^2 > 0, got {sigma}")

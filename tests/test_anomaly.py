@@ -288,6 +288,14 @@ class TestBaselineJson:
         with pytest.raises(ValueError, match="threshold must be finite and nonnegative"):
             baseline_from_json_dict(payload, som)
 
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_calibration_size_below_one_rejected(self, size):
+        som = single_node_map()
+        payload = {**baseline_to_json_dict(AnomalyBaseline(som, 1.25, 97.5, 42)),
+                   "calibration_size": size}
+        with pytest.raises(ValueError, match="^calibration_size must be at least 1$"):
+            baseline_from_json_dict(payload, som)
+
     def test_missing_field_rejected(self):
         som = single_node_map()
         payload = baseline_to_json_dict(AnomalyBaseline(som, 1.25, 97.5, 42))

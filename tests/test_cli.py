@@ -175,6 +175,22 @@ class TestTrainCommand:
         assert len(captured.err.splitlines()) == 1
         assert list(tmp_path.iterdir()) == [tmp_path / "huge.csv"]
 
+    def test_width_whose_square_underflows_is_an_error(self, tmp_path, normal_cluster, capsys):
+        # 2 sigma^2 underflows to 0, so the factor at the winner would be 0/0.
+        out = tmp_path / "m.som"
+        assert main(quick_train_args(normal_cluster, out)) == 0
+        old = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        capsys.readouterr()
+        argv = quick_train_args(normal_cluster, out, **{"--sigma-start": "1e-200",
+                                                        "--sigma-end": "1e-200"})
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: sigma must be finite and large enough that 2 sigma^2 > 0, got 1e-200\n"
+        )
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == old
+
     def test_report_file(self, tmp_path, normal_cluster, capsys):
         out = tmp_path / "map.som"
         report = tmp_path / "report.txt"

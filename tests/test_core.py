@@ -1,5 +1,6 @@
 import math
 import os
+import struct
 import sys
 import threading
 
@@ -14,10 +15,11 @@ from conftest import (
     oracle_kernel,
     oracle_qe,
 )
-from netsom import _backend, anomaly
+from netsom import _backend, _core_py, anomaly
 from netsom.core import (
     SomMap,
     TrainingSchedule,
+    _check_rates,
     _schedule_arrays,
     adapt,
     find_bmu,
@@ -40,6 +42,35 @@ def make_map(weights, rows, cols, seed=0):
         weights=np.asarray(weights, dtype=np.float64),
         seed=seed,
     )
+
+
+def no_step_schedule():
+    return TrainingSchedule(total_steps=0, ordering_steps=0, sigma_start=1.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: SomMap(GridShape(1, 1), np.zeros((1, 0)), seed=0),
+                 "^map dimension must be at least 1$", id="map-dim-0"),
+    pytest.param(lambda: SomMap(GridShape(1, 1), [[math.nan]], seed=0),
+                 "^map weights must be finite$", id="map-nan"),
+    pytest.param(lambda: SomMap(GridShape(1, 1), [[0.0]], seed=0, steps_trained=-1),
+                 "^steps_trained must be nonnegative$", id="map-steps"),
+    pytest.param(lambda: initialize(GridShape(1, 1), 0, np.zeros((0, 2)), seed=0),
+                 "^dim must be at least 1$", id="initialize-dim-0"),
+    pytest.param(lambda: initialize(GridShape(1, 1), 2, [(0.0, 1.0)], seed=0),
+                 r"^data_bounds must be 2 \(min, max\) pairs, got shape \(1, 2\)$",
+                 id="initialize-bounds-shape"),
+    pytest.param(lambda: initialize(GridShape(1, 1), 1, [(0.0, math.inf)], seed=0),
+                 "^data_bounds must be finite$", id="initialize-bounds-inf"),
+    pytest.param(lambda: train(make_map([[0.0]], 1, 1), np.zeros((0, 1)), no_step_schedule()),
+                 "^training set is empty$", id="train-empty"),
+    pytest.param(lambda: train(make_map([[0.0]], 1, 1), [[0.0]], no_step_schedule(),
+                               qe_sample_every=0),
+                 "^qe_sample_every must be at least 1$", id="train-sample-every-0"),
+])
+def test_refusal_names_its_cause(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 class TestInitialize:
@@ -270,12 +301,12 @@ class TestAdapt:
 
 class TestSchedule:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^ordering_steps must"):
             TrainingSchedule(total_steps=10, sigma_start=2.0, ordering_steps=11)
-        with pytest.raises(ValueError):
-            TrainingSchedule(total_steps=10, sigma_start=2.0, alpha_end=0.0)
-        with pytest.raises(ValueError):
-            TrainingSchedule(total_steps=10, sigma_start=0.5, sigma_end=1.0)
+        with pytest.raises(ValueError, match="^alpha must"):
+            TrainingSchedule(total_steps=10, ordering_steps=5, sigma_start=2.0, alpha_end=0.0)
+        with pytest.raises(ValueError, match="^widths must"):
+            TrainingSchedule(total_steps=10, ordering_steps=5, sigma_start=0.5, sigma_end=1.0)
 
     def test_left_endpoint_exact(self):
         s = TrainingSchedule(total_steps=2000, sigma_start=5.0)
@@ -340,6 +371,94 @@ class TestSchedule:
         s = TrainingSchedule.default_for(GridShape(1, 1))
         assert s.ordering_steps <= s.total_steps
         assert s.sigma_start >= s.sigma_end
+
+
+def schedule_of(alpha, sigma):
+    return TrainingSchedule(
+        total_steps=10, ordering_steps=5,
+        alpha_start=alpha, alpha_mid=alpha, alpha_end=alpha, sigma_start=sigma, sigma_end=sigma,
+    )
+
+
+RATE_CALLERS = {
+    "schedule": schedule_of,
+    "kernel": lambda alpha, sigma: kernel(GridPosition(0, 0), GridPosition(0, 0), alpha, sigma),
+    "adapt": lambda alpha, sigma: adapt(make_map([[0.0], [1.0]], 1, 2), (0.5,), 0, alpha, sigma),
+}
+
+
+def smallest_accepted_sigma() -> float:
+    """The least double the schedule accepts as a width, by bisection."""
+
+    def accepted(sigma):
+        try:
+            schedule_of(0.5, sigma)
+        except ValueError:
+            return False
+        return True
+
+    lo, hi = 0.0, 1.0
+    while math.nextafter(lo, hi) < hi:
+        mid = (lo + hi) / 2
+        lo, hi = (lo, mid) if accepted(mid) else (mid, hi)
+    return hi
+
+
+class TestRateRule:
+    """One rule on learning rates and widths for every caller. A width must be
+    finite, and 2 sigma^2, the denominator of both kernels' factor, must not
+    underflow to 0."""
+
+    @pytest.mark.parametrize("caller", RATE_CALLERS)
+    @pytest.mark.parametrize("sigma", [1e-200, math.inf, math.nan, 0.0, -1.0])
+    def test_bad_sigma_refused(self, caller, sigma):
+        with pytest.raises(ValueError, match="^sigma must be finite and large enough"):
+            RATE_CALLERS[caller](0.5, sigma)
+
+    @pytest.mark.parametrize("caller", RATE_CALLERS)
+    @pytest.mark.parametrize("alpha", [0.0, 1.5, math.nan])
+    def test_bad_alpha_refused(self, caller, alpha):
+        with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\]"):
+            RATE_CALLERS[caller](alpha, 1.0)
+
+    def test_width_whose_square_overflows_is_accepted_silently(self):
+        # 2 sigma^2 is inf, so every factor is exp(-0) = 1, in both kernels.
+        assert schedule_of(0.5, np.float64(1e200)).sigma_end == 1e200
+
+    def test_floor_is_where_two_sigma_squared_underflows(self):
+        floor = smallest_accepted_sigma()
+        assert floor == pytest.approx(1.1114e-162, rel=1e-4)
+        assert 2.0 * floor * floor > 0.0
+        assert 2.0 * math.nextafter(floor, 0.0) * math.nextafter(floor, 0.0) == 0.0
+
+    @pytest.mark.parametrize("ulps", [1, 2, 1000, 10**6, 10**12, 2**52])
+    def test_schedule_ending_at_the_floor_stays_above_it(self, ulps):
+        floor = smallest_accepted_sigma()
+        s = TrainingSchedule(
+            total_steps=2000, ordering_steps=1999,
+            sigma_start=floor + ulps * math.ulp(floor), sigma_end=floor,
+        )
+        alphas, sigmas = _schedule_arrays(s)
+        for alpha, sigma in zip(alphas.tolist(), sigmas.tolist()):
+            _check_rates(alpha, sigma)
+
+    @pytest.mark.parametrize("sigma", [1e-160, "floor"])
+    def test_tiny_sigma_trains_alike_on_both_backends(self, compiled, monkeypatch, sigma):
+        # -d^2 / (2 sigma^2) overflows to -inf off the winner, so every factor
+        # there is exp(-inf) = 0, silently, on both backends.
+        sigma = smallest_accepted_sigma() if sigma == "floor" else sigma
+        data = four_cluster_data(per_cluster=50)
+        som = initialize(GridShape(3, 3), 2, bounds_of(data), seed=1)
+        schedule = TrainingSchedule(
+            total_steps=50, ordering_steps=10, sigma_start=sigma, sigma_end=sigma
+        )
+        maps = []
+        for impl in (compiled, _core_py):
+            monkeypatch.setattr(_backend, "run_steps", impl.run_steps)
+            monkeypatch.setattr(_backend, "bmu_batch", impl.bmu_batch)
+            maps.append(train(som, data, schedule, seed=2)[0].weights)
+        assert not np.array_equal(maps[0], som.weights)
+        np.testing.assert_array_equal(maps[0].view(np.uint64), maps[1].view(np.uint64))
 
 
 class TestSelectStimulus:
@@ -516,6 +635,27 @@ class TestMapPersistence:
         save_map(som, path)
         path.write_bytes(path.read_bytes()[:-9])
         with pytest.raises(MapFormatError, match="unexpected end of map file"):
+            load_map(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda blob: blob[:37], "unexpected end of map file", id="short-header"),
+        pytest.param(lambda blob: blob[:10] + bytes(4) + blob[14:],
+                     r"invalid map header \(rows=0, cols=2, dim=2\)", id="rows-0"),
+        pytest.param(lambda blob: blob[:14] + bytes(4) + blob[18:],
+                     r"invalid map header \(rows=2, cols=0, dim=2\)", id="cols-0"),
+        pytest.param(lambda blob: blob[:18] + bytes(4) + blob[22:],
+                     r"invalid map header \(rows=2, cols=2, dim=0\)", id="dim-0"),
+        pytest.param(lambda blob: blob[:38] + struct.pack("<d", math.nan) + blob[46:],
+                     "map file contains non-finite weights", id="nan-weight"),
+    ])
+    def test_malformed_file_refused(self, tmp_path, edit, message):
+        # The header is 38 bytes: magic, then version, rows, cols and dim as
+        # uint32 from byte 6, then seed and steps; the weights follow.
+        som = initialize(GridShape(2, 2), 2, [(0.0, 1.0)] * 2, seed=1)
+        path = tmp_path / "m.som"
+        save_map(som, path)
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(MapFormatError, match=message):
             load_map(path)
 
     def test_bad_magic_rejected(self, tmp_path):

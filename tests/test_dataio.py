@@ -658,6 +658,8 @@ class TestNormalizer:
              "^minmax column 1: max is below min$"),
             ("zscore", {"stats": {"mean": [0.5, 2.5], "stddev": [0.5, -1.0]}},
              "^zscore column 2: stddev is negative$"),
+            ("minmax", {"format_version": 2},
+             r"^unsupported normalizer format version 2 \(expected 1\)$"),
         ],
     )
     def test_malformed_json_rejected(self, method, change, message):
@@ -676,6 +678,25 @@ class TestNormalizer:
         del payload["degenerate"]
         with pytest.raises(ValueError, match="malformed normalizer record"):
             normalizer_from_json_dict(payload)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: Dataset(np.zeros(3)), r"^vectors must be 2-D, got shape \(3,\)$",
+                 id="vectors-1d"),
+    pytest.param(lambda: Dataset(np.zeros((2, 2)), ["a"]),
+                 "^column_names length must equal the feature dimension$", id="names"),
+    pytest.param(lambda: Dataset(np.zeros((2, 2)), labels=[True]),
+                 "^labels must have one entry per row$", id="labels"),
+    pytest.param(lambda: dataio.NormalizationModel("none", {}, np.array(False)),
+                 "^degenerate must hold one flag per dimension$", id="degenerate-0d"),
+    pytest.param(lambda: fit_normalizer(Dataset(np.zeros((0, 2))), "minmax"),
+                 "^cannot fit a normalizer on an empty dataset$", id="fit-empty"),
+    pytest.param(lambda: split(Dataset(np.zeros((0, 2))), (0.8, 0.1, 0.1), seed=0),
+                 "^cannot split an empty dataset$", id="split-empty"),
+])
+def test_refusal_names_its_cause(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 class TestSplit:
