@@ -8,14 +8,14 @@ The kernel trusts its pointers, so every array is checked here first: a bad
 argument raises instead of reading or writing arbitrary memory.
 
 Every :meth:`Kernel.bmu_batch` call, a single row too, copies the weights
-into dim-major scratch and searches each row against that copy. A large one
-runs on several threads, one contiguous block of rows each, and each block
-makes its own copy. A :meth:`Kernel.run_steps` call on a large map runs as
-several parts at once, one contiguous block of nodes each, which agree on
-every step's winner through shared slots (see ``_kernel.c``); its weights
-are the one-part run's, bit for bit. ctypes releases the GIL for the length
-of a kernel call, so the calls run at once. Call i of such a split call runs
-on the i-th CPU this thread may use, the calling thread's call first (see
+into dim-major scratch and searches each row against that copy. A large call
+is split by one rule, :func:`_parts`, into one kernel call per contiguous
+block: a winner search by rows, each block with its own copy of the weights,
+and a :meth:`Kernel.run_steps` call on a large map by nodes, whose parts
+agree on every step's winner through shared slots (see ``_kernel.c``); its
+weights are the one-part run's, bit for bit. ctypes releases the GIL for the
+length of a kernel call, so the calls run at once. Call i runs on the i-th
+CPU of :func:`_cpus`, the calling thread's call first (see
 :func:`_run_calls`).
 """
 
@@ -117,23 +117,18 @@ class Kernel:
         n_nodes, dim, n_inputs = _search_shape(weights, xs)
         idx = np.empty(n_inputs, dtype=np.int64)
         dist = np.empty(n_inputs, dtype=np.float64)
-        self._search_blocks(weights, xs, idx, dist, _row_blocks(n_inputs, n_nodes * dim))
-        return idx, dist
-
-    def _search_blocks(self, weights, xs, idx, dist, blocks) -> None:
-        """Search each (start, stop) block of rows of ``xs`` with its own
-        kernel call and scratch, all at once (see :func:`_run_calls`)."""
-        n_nodes, dim = weights.shape
-        w, x, i, d = weights.ctypes.data, xs.ctypes.data, idx.ctypes.data, dist.ctypes.data
+        blocks = _parts(n_inputs, n_nodes * dim, PARALLEL_MIN_TERMS)
         # Dim-major weights and distances for each block. Allocated here, so
         # that a failure raises here. They and the arrays outlive every
         # thread, so the pointers stay valid.
         scratch = [np.empty(n_nodes * (dim + 1)) for _ in blocks]
+        w, x, i, d = weights.ctypes.data, xs.ctypes.data, idx.ctypes.data, dist.ctypes.data
         _run_calls(self._bmu, [
             (w, n_nodes, dim, x + xs.strides[0] * lo, hi - lo, i + idx.strides[0] * lo,
              d + dist.strides[0] * lo, block_scratch.ctypes.data)
             for (lo, hi), block_scratch in zip(blocks, scratch)
         ])
+        return idx, dist
 
     def run_steps(
         self,
@@ -158,7 +153,10 @@ class Kernel:
             raise ValueError(f"cols must be at least 1, got {cols}")
         if n_nodes % cols:
             raise ValueError(f"{n_nodes} nodes do not fill a lattice with {cols} columns")
-        parts = _node_parts(n_nodes, dim, n_steps)
+        if n_steps * n_nodes * dim < STEP_CALL_MIN_TERMS:
+            parts = [(0, n_nodes)]
+        else:
+            parts = _parts(n_nodes, dim, STEP_PART_MIN_TERMS)
         # Each part's working memory: dim-major weights, distances, factors
         # and the factor table; and the slots through which split parts
         # agree on each step's winner. Allocated here, so a failure is a
@@ -186,11 +184,12 @@ def _run_calls(kernel, calls, together: bool = False) -> None:
     start at once: waking a worker at a gate made a 4M-term winner search
     2-4 ms slower in a new process.
 
-    Call i runs on the i-th CPU of :func:`_call_cpus`: each worker moves
-    itself there before it waits at the gate, and this thread stays on the
-    first until its call is done. A new thread starts on its creator's CPU,
-    and where the scheduler does not balance load, as in a cpuset with
-    sched_load_balance off, it stays there. Left free, this thread can be
+    Call i runs on the i-th CPU of :func:`_cpus`, and is not moved where
+    that list has no i-th CPU: each worker moves itself there before it
+    waits at the gate, and this thread stays on the first until its call is
+    done. A new thread starts on its creator's CPU, and where the scheduler
+    does not balance load, as in a cpuset with sched_load_balance off, it
+    stays there. Left free, this thread can be
     woken on a worker's CPU; the parts of a split step loop then take turns
     there, one yield per step, and a 4 ms call took up to 39 ms."""
     if len(calls) == 1:
@@ -200,7 +199,7 @@ def _run_calls(kernel, calls, together: bool = False) -> None:
     go = not together
     if go:
         gate.set()
-    cpus = _call_cpus(len(calls))
+    cpus = _cpus() + [None] * len(calls)
 
     def worker(cpu, args):
         # The move only places the work: the call runs where it fails.
@@ -227,13 +226,12 @@ def _run_calls(kernel, calls, together: bool = False) -> None:
                 thread.join()
 
 
-def _call_cpus(n_calls: int) -> list[int | None]:
-    """A CPU for each call of a split call, the calling thread's first: this
-    thread's allowed CPUs in ascending order, then None where none is left
-    or the platform cannot move a thread."""
+def _cpus() -> list[int | None]:
+    """The CPUs a split call may use: this thread's allowed CPUs in ascending
+    order, or one None per CPU where the platform cannot move a thread."""
     if not hasattr(os, "sched_setaffinity"):
-        return [None] * n_calls
-    return (sorted(os.sched_getaffinity(0)) + [None] * n_calls)[:n_calls]
+        return [None] * (os.cpu_count() or 1)
+    return sorted(os.sched_getaffinity(0))
 
 
 @contextlib.contextmanager
@@ -254,31 +252,17 @@ def _pinned(cpu: int | None):
             os.sched_setaffinity(0, allowed)
 
 
-def _row_blocks(n_rows: int, terms_per_row: int) -> list[tuple[int, int]]:
-    """Contiguous (start, stop) row blocks of a winner search, the first for
-    the calling thread: one per usable CPU and at most one per row, but no
-    more than there are PARALLEL_MIN_TERMS distance terms in the batch."""
-    terms = n_rows * terms_per_row
-    if n_rows < 2 or terms < 2 * PARALLEL_MIN_TERMS:
-        return [(0, n_rows)]
-    return _blocks(n_rows, min(_usable_cpus(), n_rows, terms // PARALLEL_MIN_TERMS))
-
-
-def _node_parts(n_nodes: int, dim: int, n_steps: int) -> list[tuple[int, int]]:
-    """Contiguous (start, stop) node blocks of a step loop, the first for the
-    calling thread: one per usable CPU and at most one per node, but no more
-    than there are STEP_PART_MIN_TERMS node-dimension terms in each step, and
-    one alone for a call of fewer than STEP_CALL_MIN_TERMS terms."""
-    terms = n_nodes * dim
-    if terms < 2 * STEP_PART_MIN_TERMS or n_steps * terms < STEP_CALL_MIN_TERMS:
-        return [(0, n_nodes)]
-    return _blocks(n_nodes, min(_usable_cpus(), n_nodes, terms // STEP_PART_MIN_TERMS))
-
-
-def _blocks(n: int, n_blocks: int) -> list[tuple[int, int]]:
-    """``range(n)`` cut into ``n_blocks`` contiguous (start, stop) blocks
-    whose lengths differ by at most one."""
-    bounds = [n * b // n_blocks for b in range(n_blocks + 1)]
+def _parts(n: int, terms_each: int, min_terms: int) -> list[tuple[int, int]]:
+    """``range(n)`` cut into contiguous (start, stop) blocks whose lengths
+    differ by at most one, the first for the calling thread: one per usable
+    CPU and at most one per item, but no more than there are ``min_terms`` in
+    the ``n * terms_each`` terms. Where that allows fewer than two, the one
+    block ``[(0, n)]``, and the CPUs are not read."""
+    count = min(n, n * terms_each // min_terms)
+    if count < 2:
+        return [(0, n)]
+    count = min(count, len(_cpus()))
+    bounds = [n * b // count for b in range(count + 1)]
     return list(zip(bounds, bounds[1:]))
 
 
@@ -291,14 +275,6 @@ def _slots(n_parts: int) -> tuple[np.ndarray | None, int | None]:
         return None, None
     memory = np.zeros(8 * (n_parts + 1), dtype=np.int64)
     return memory, memory.ctypes.data + (-memory.ctypes.data) % 64
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the platform
-    reports one, else every CPU."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _shape(a, dtype, ndim: int, name: str) -> tuple[int, ...]:

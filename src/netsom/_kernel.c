@@ -7,8 +7,8 @@
  * pure backend. The caller validates shapes, dtypes and indices.
  *
  * netsom_bmu_batch first copies the weights into dim-major order, wt[k*n + i],
- * in the caller's scratch, then searches each row with distances() and
- * first_min(), the loop netsom_run_steps uses. The kernel starts no threads:
+ * in the caller's scratch, then finds each row's winner with distances() and
+ * scan_min(), the loops netsom_run_steps uses. The kernel starts no threads:
  * netsom._core_c splits a large batch into contiguous row blocks and runs one
  * call per block, each with its own scratch, on threads of its own.
  *
@@ -35,8 +35,9 @@
  * factor table. At each step it finds the first strict minimum of its own
  * distances, publishes it in its slot and reads every part's slot in part
  * order, keeping a later part's winner only where it is strictly smaller:
- * that is first_min() over all nodes, so every part updates its own nodes
- * around the one winner. With P = 1 no slot is read or written.
+ * that is the first strict minimum over all nodes, so every part updates
+ * its own nodes around the one winner. With P = 1 no slot is read or
+ * written.
  *
  * The results are still those of netsom._core_py's order of operations.
  * Nodes are independent, so swapping the node and dimension loops, or
@@ -136,13 +137,6 @@ static int64_t scan_min(const double *acc, int64_t from, int64_t n, int64_t at,
     return at;
 }
 
-/* Index of the first strict minimum of acc: ties go to the lowest index. */
-static int64_t first_min(const double *acc, int64_t n)
-{
-    double best = acc[0];
-    return scan_min(acc, 1, n, 0, &best);
-}
-
 /* Winner index and distance of each of the n_inputs rows of xs. scratch holds
  * n_nodes * (dim + 1) doubles: the dim-major weights and the distances. */
 NETSOM_TARGETS
@@ -156,9 +150,9 @@ void netsom_bmu_batch(const double *weights, int64_t n_nodes, int64_t dim,
     transpose(weights, n, dim, wt);
     for (int64_t j = 0; j < n_inputs; j++) {
         distances(wt, n, dim, xs + j * dim, acc);
-        const int64_t best = first_min(acc, n);
-        idx[j] = best;
-        dist[j] = sqrt(acc[best]);
+        double best = acc[0];
+        idx[j] = scan_min(acc, 1, n, 0, &best);
+        dist[j] = sqrt(best);
     }
 }
 
@@ -316,10 +310,11 @@ void netsom_run_steps(double *weights, int64_t n_nodes, int64_t dim,
                 table[i] = -1.0;
         const double *x = xs + stimuli[t] * dim;
         const double *next = xs + stimuli[t + 1 < n_steps ? t + 1 : t] * dim;
-        /* The first part's search is first_min's. A later part's starts
-         * below +inf, not at its first node: were that node's distance
-         * NaN, no other would compare below it. A part with no distance
-         * below +inf offers +inf, which never beats another part's winner. */
+        /* The first part's search finds the first strict minimum, starting
+         * at its first node. A later part's starts below +inf instead: were
+         * its first node's distance NaN, no other would compare below it.
+         * A part with no distance below +inf offers +inf, which never beats
+         * another part's winner. */
         double d = part == 0 ? acc[0] : INFINITY;
         int64_t c = lo + scan_min(acc, part == 0, m, 0, &d);
         if (n_parts > 1)

@@ -212,7 +212,7 @@ def kernel(c: GridPosition, i: GridPosition, alpha: float, sigma: float) -> floa
     dr = c.row - i.row
     dc = c.col - i.col
     lat2 = float(dr * dr + dc * dc)
-    return alpha * math.exp(-lat2 / (2.0 * sigma * sigma))
+    return alpha * math.exp(-lat2 / (2.0 * float(sigma) * float(sigma)))
 
 
 def adapt(som: SomMap, x, c: int, alpha: float, sigma: float) -> SomMap:

@@ -130,7 +130,11 @@ class ArtifactSet:
                 tmp.unlink(missing_ok=True)
 
     def stage(self, path, payload: bytes) -> None:
-        """Write ``payload`` to a synced temp file that will replace ``path``."""
+        """Write ``payload`` to a synced temp file that will replace ``path``.
+        A second file for a path already staged raises ValueError: one of
+        the two would silently replace the other."""
+        if os.path.abspath(path) in (os.path.abspath(p) for _, p in self._staged):
+            raise ValueError(f"two files to be written to {path}")
         path = Path(path)
         tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
         flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)

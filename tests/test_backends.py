@@ -100,12 +100,19 @@ def assert_search_bit_equal(kernel, weights, xs):
     np.testing.assert_array_equal(d_c.view(np.uint64), d_py.view(np.uint64))
 
 
+def use_cpus(monkeypatch, k):
+    """Give split calls ``k`` usable CPUs: this thread's real ones, then
+    None for those there are not, so calls still go to real CPUs."""
+    cpus = (_core_c._cpus() + [None] * k)[:k]
+    monkeypatch.setattr(_core_c, "_cpus", lambda: cpus)
+
+
 @pytest.fixture(params=[2, 3, 8])
 def split(request, monkeypatch):
     """Split every search of two or more rows into row blocks, one per
     ``param`` CPUs (possibly more than there are) and at most one per row."""
     monkeypatch.setattr(_core_c, "PARALLEL_MIN_TERMS", 1)
-    monkeypatch.setattr(_core_c, "_usable_cpus", lambda: request.param)
+    use_cpus(monkeypatch, request.param)
     return request.param
 
 
@@ -116,7 +123,7 @@ class TestParallelBmuParity:
         # Nodes 0 and 2 coincide, as do nodes 1 and 3, so every row ties.
         weights = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
         xs = np.array([[1.0, 1.0], [0.5, 0.5], [0.0, 0.0]] * 4)
-        assert len(_core_c._row_blocks(len(xs), weights.size)) == split
+        assert len(_core_c._parts(len(xs), weights.size, _core_c.PARALLEL_MIN_TERMS)) == split
         assert_search_bit_equal(compiled, weights, xs)
         assert compiled.bmu_batch(weights, xs)[0].tolist() == [1, 0, 0] * 4
 
@@ -135,7 +142,7 @@ class TestParallelBmuParity:
 
     def test_rows_not_divisible_by_workers(self, compiled, split):
         n_rows = 7 * split + 1
-        blocks = _core_c._row_blocks(n_rows, 48 * 7)
+        blocks = _core_c._parts(n_rows, 48 * 7, _core_c.PARALLEL_MIN_TERMS)
         assert len(blocks) == split
         assert blocks[0][0] == 0 and blocks[-1][1] == n_rows
         assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
@@ -150,12 +157,12 @@ class TestParallelBmuParity:
         assert_search_bit_equal(compiled, weights, xs)
 
     def test_default_split_keeps_small_batches_whole(self, monkeypatch):
-        monkeypatch.setattr(_core_c, "_usable_cpus", lambda: 4)
+        use_cpus(monkeypatch, 4)
         per_block = _core_c.PARALLEL_MIN_TERMS
-        assert _core_c._row_blocks(1, 10 * per_block) == [(0, 1)]
-        assert _core_c._row_blocks(1000, (2 * per_block - 1) // 1000) == [(0, 1000)]
-        assert len(_core_c._row_blocks(1000, 2 * per_block // 1000)) == 2
-        assert len(_core_c._row_blocks(1000, 100 * per_block)) == 4
+        assert _core_c._parts(1, 10 * per_block, per_block) == [(0, 1)]
+        assert _core_c._parts(1000, (2 * per_block - 1) // 1000, per_block) == [(0, 1000)]
+        assert len(_core_c._parts(1000, 2 * per_block // 1000, per_block)) == 2
+        assert len(_core_c._parts(1000, 100 * per_block, per_block)) == 4
 
     def test_one_cpu_starts_no_thread(self, compiled, monkeypatch):
         class NoThread:
@@ -188,18 +195,31 @@ class TestParallelBmuParity:
 
     def test_cpu_count_without_affinity(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert _core_c._usable_cpus() == 3
+        assert _core_c._cpus() == [None] * 3
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert _core_c._usable_cpus() == 1
+        assert _core_c._cpus() == [None]
 
     def test_call_i_goes_to_the_ith_allowed_cpu(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2, 0, 1}, raising=False)
         monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None, raising=False)
-        assert _core_c._call_cpus(2) == [0, 1]
-        assert _core_c._call_cpus(4) == [0, 1, 2, None]
+        assert _core_c._cpus() == [0, 1, 2]
+        monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.delattr(os, "sched_setaffinity")
-        assert _core_c._call_cpus(2) == [None, None]
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert _core_c._cpus() == [None, None]
+
+    def test_a_call_past_the_last_cpu_is_not_moved(self, monkeypatch):
+        moves, ran = [], {}
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2, 0, 1}, raising=False)
+        monkeypatch.setattr(os, "sched_setaffinity",
+                            lambda pid, cpus: moves.append((threading.current_thread(), cpus)),
+                            raising=False)
+        _core_c._run_calls(lambda who: ran.update({who: threading.current_thread()}),
+                           [(who,) for who in range(4)])
+        moved_to = [[cpus for thread, cpus in moves if thread is ran[who]] for who in range(4)]
+        assert moved_to == [[{0}, {0, 1, 2}], [{1}], [{2}], []]
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
                         or len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
@@ -455,7 +475,7 @@ def force_parts(monkeypatch, n_parts):
     blocks (possibly more than there are CPUs), at most one per node."""
     monkeypatch.setattr(_core_c, "STEP_PART_MIN_TERMS", 1)
     monkeypatch.setattr(_core_c, "STEP_CALL_MIN_TERMS", 1)
-    monkeypatch.setattr(_core_c, "_usable_cpus", lambda: n_parts)
+    use_cpus(monkeypatch, n_parts)
 
 
 class TestSplitRunStepsMatchesOracle(TestRunStepsMatchesOracle):
@@ -469,7 +489,7 @@ class TestSplitRunStepsMatchesOracle(TestRunStepsMatchesOracle):
 
     @pytest.mark.parametrize("rows, cols", [(5, 3), (1, 7), (7, 1)])
     def test_the_map_is_split(self, parts, rows, cols):
-        blocks = _core_c._node_parts(rows * cols, 3, 1)
+        blocks = _core_c._parts(rows * cols, 3, _core_c.STEP_PART_MIN_TERMS)
         assert len(blocks) == parts
         assert blocks[0][0] == 0 and blocks[-1][1] == rows * cols
         assert all(a[1] == b[0] and a[0] < a[1] for a, b in zip(blocks, blocks[1:]))
@@ -503,7 +523,7 @@ class TestSplitRunStepsMatchesOnePart:
         # A part that took its first node's NaN distance as its minimum
         # would never find a smaller one, and lose its real winners.
         start, data, stimuli, alphas, sigmas = oracle_case(4, 4, total_steps=120)
-        last_part = _core_c._blocks(16, n_parts)[-1]
+        last_part = (16 * (n_parts - 1) // n_parts, 16)
         start[last_part[0], 1] = np.nan
         args = (data, stimuli, alphas, sigmas, 4)
         one = run_in_parts(compiled, monkeypatch, 1, start, *args)
@@ -627,14 +647,31 @@ class NoThread:
 
 class TestSplitRunStepsThreads:
     def test_default_split_keeps_small_maps_and_calls_whole(self, monkeypatch):
-        monkeypatch.setattr(_core_c, "_usable_cpus", lambda: 4)
-        per_step = 2 * _core_c.STEP_PART_MIN_TERMS
-        many = _core_c.STEP_CALL_MIN_TERMS
-        assert _core_c._node_parts(1, per_step, many) == [(0, 1)]
-        assert _core_c._node_parts(100, (per_step - 1) // 100, many) == [(0, 100)]
-        assert len(_core_c._node_parts(100, per_step // 100, many)) == 2
-        assert len(_core_c._node_parts(1600, 41, many)) == 4
-        assert _core_c._node_parts(1600, 41, many // (1600 * 41)) == [(0, 1600)]
+        use_cpus(monkeypatch, 4)
+        per_part = _core_c.STEP_PART_MIN_TERMS
+        per_step = 2 * per_part
+        assert _core_c._parts(1, per_step, per_part) == [(0, 1)]
+        assert _core_c._parts(100, (per_step - 1) // 100, per_part) == [(0, 100)]
+        assert len(_core_c._parts(100, per_step // 100, per_part)) == 2
+        assert len(_core_c._parts(1600, 41, per_part)) == 4
+
+    def test_a_40x40_call_below_the_call_gate_starts_no_thread(self, compiled, monkeypatch):
+        # A 40x40 map with 41 features has terms enough for four parts, but
+        # a call of fewer than STEP_CALL_MIN_TERMS terms stays whole.
+        use_cpus(monkeypatch, 4)
+        rng = np.random.default_rng(15)
+        weights = rng.uniform(0, 1, size=(1600, 41))
+        data = rng.uniform(0, 1, size=(50, 41))
+
+        def call(n_steps):
+            compiled.run_steps(weights, data, rng.integers(0, 50, size=n_steps),
+                               np.full(n_steps, 0.1), np.full(n_steps, 2.0), 40)
+
+        below = _core_c.STEP_CALL_MIN_TERMS // (1600 * 41)
+        monkeypatch.setattr(threading, "Thread", NoThread)
+        call(below)
+        with pytest.raises(AssertionError, match="a thread was started"):
+            call(below + 1)
 
     def test_one_cpu_or_a_small_call_starts_no_thread(self, compiled, monkeypatch):
         start, data, stimuli, alphas, sigmas = oracle_case(5, 3)
@@ -643,7 +680,7 @@ class TestSplitRunStepsThreads:
         for n_cpus, min_call_terms in [(2, 1), (1, 1), (2, 60 * 15 * 3 + 1)]:
             monkeypatch.setattr(_core_c, "STEP_PART_MIN_TERMS", 1)
             monkeypatch.setattr(_core_c, "STEP_CALL_MIN_TERMS", min_call_terms)
-            monkeypatch.setattr(_core_c, "_usable_cpus", lambda: n_cpus)
+            use_cpus(monkeypatch, n_cpus)
             got = start.copy()
             if n_cpus == 2 and min_call_terms == 1:
                 with pytest.raises(AssertionError, match="a thread was started"):
@@ -696,7 +733,8 @@ import numpy as np
 from netsom import _core_c
 
 kernel = _core_c.Kernel(sys.argv[1])
-_core_c._usable_cpus = lambda: 2
+cpus = (_core_c._cpus() + [None, None])[:2]
+_core_c._cpus = lambda: cpus
 _core_c.PARALLEL_MIN_TERMS = 1
 _core_c.STEP_PART_MIN_TERMS = _core_c.STEP_CALL_MIN_TERMS = 1
 rng = np.random.default_rng(3)
@@ -707,7 +745,8 @@ alphas, sigmas = np.linspace(0.5, 0.01, 300), np.linspace(3.0, 0.5, 300)
 
 
 def both():
-    assert len(_core_c._row_blocks(40, 64 * 5)) == len(_core_c._node_parts(64, 5, 300)) == 2
+    assert len(_core_c._parts(40, 64 * 5, _core_c.PARALLEL_MIN_TERMS)) == 2
+    assert len(_core_c._parts(64, 5, _core_c.STEP_PART_MIN_TERMS)) == 2
     weights = start.copy()
     kernel.run_steps(weights, data, stimuli, alphas, sigmas, 8)
     return [a.tobytes() for a in (weights, *kernel.bmu_batch(weights, data))]

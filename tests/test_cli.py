@@ -293,6 +293,17 @@ class TestTrainCommand:
         assert capsys.readouterr().err.startswith("error: [Errno 2]")
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == old
 
+    def test_report_on_the_normalizer_path_is_refused(self, tmp_path, normal_cluster, capsys):
+        out = tmp_path / "map.som"
+        assert main(quick_train_args(normal_cluster, out)) == 0
+        old = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        capsys.readouterr()
+        report = str(out) + ".norm.json"
+        rc = main(quick_train_args(normal_cluster, out, **{"--seed": "7", "--report": report}))
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: two files to be written to {report}\n"
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == old
+
 
 @pytest.mark.parametrize("command", ["train", "umatrix", "detect"])
 def test_unwritable_out_names_the_given_path(tmp_path, normal_cluster, capsys, command):
@@ -587,6 +598,22 @@ class TestDetectCommand:
         assert capsys.readouterr().err.startswith("error: [Errno 2]")
         assert verdicts.read_bytes() == b"old verdicts\n"
         assert not any(p.name.endswith(".tmp") for p in tmp_path.iterdir())
+
+    def test_baseline_on_the_verdict_path_is_refused(self, tmp_path, normal_cluster, capsys):
+        out = tmp_path / "map.som"
+        main(quick_train_args(normal_cluster, out))
+        verdicts = tmp_path / "v.csv"
+        verdicts.write_bytes(b"old verdicts\n")
+        old = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        capsys.readouterr()
+        rc = main([
+            "detect", "--map", str(out), "--calibration", normal_cluster,
+            "--input", normal_cluster, "--out", str(verdicts),
+            "--save-baseline", str(verdicts),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: two files to be written to {verdicts}\n"
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == old
 
 
 class TestDetectMatchesLibrary:

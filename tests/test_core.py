@@ -33,7 +33,7 @@ from netsom.core import (
 )
 from netsom.dataio import Dataset
 from netsom.grid import GridPosition, GridShape
-from netsom.mapfile import MapFormatError, load_map, save_map, write_atomic
+from netsom.mapfile import ArtifactSet, MapFormatError, load_map, save_map, write_atomic
 
 
 def make_map(weights, rows, cols, seed=0):
@@ -230,6 +230,14 @@ class TestKernel:
             h = kernel(c, i, alpha, sigma)
             assert 0.0 < h <= alpha
             assert (h == alpha) == (c == i)
+
+    def test_numpy_sigma_gives_the_float_result_without_a_warning(self):
+        # 2 sigma^2 overflows to inf for sigma 1e200; in numpy scalars that
+        # overflow warns, and warnings are errors here.
+        c, i = GridPosition(0, 0), GridPosition(0, 1)
+        assert kernel(c, i, 0.5, np.float64(1e200)) == kernel(c, i, 0.5, 1e200) == 0.5
+        assert (struct.pack("<d", kernel(c, i, 0.5, np.float64(2.0)))
+                == struct.pack("<d", kernel(c, i, 0.5, 2.0)))
 
     def test_invalid_rates_rejected(self):
         p = GridPosition(0, 0)
@@ -681,6 +689,14 @@ class TestMapPersistence:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(MapFormatError, match="trailing"):
             load_map(path)
+
+    def test_artifact_set_refuses_two_files_for_one_path(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValueError, match=r"two files to be written to \./a"):
+            with ArtifactSet() as files:
+                files.stage("a", b"first")
+                files.stage("./a", b"second")
+        assert os.listdir(tmp_path) == []
 
     def test_concurrent_writers_leave_one_whole_payload(self, tmp_path):
         path = tmp_path / "out.bin"
