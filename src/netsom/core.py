@@ -246,11 +246,12 @@ def select_stimulus(training_set, rng: np.random.Generator) -> np.ndarray:
 
 
 def quantization_error(som: SomMap, data) -> float:
-    """Mean distance from each vector in ``data`` to its best matching unit."""
-    _, dist = find_bmus(som, data)
-    if dist.size == 0:
+    """Mean distance from each vector in ``data`` to its best matching unit.
+    Raises ValueError when it is not finite: squared distances overflowed."""
+    data = as_matrix(data, som.dim)
+    if data.shape[0] == 0:
         raise ValueError("data is empty")
-    return float(dist.mean())
+    return _finite_qe(som.weights, data)
 
 
 def train(
@@ -288,16 +289,7 @@ def train(
     alphas, sigmas = _schedule_arrays(schedule)
     weights = som.weights.copy()
 
-    def qe_of(w: np.ndarray, step: int) -> float:
-        qe = float(_backend.bmu_batch(w, data)[1].mean())
-        if not math.isfinite(qe):
-            raise ValueError(
-                f"squared distances overflow: the quantization error at step {step} is {qe}; "
-                "scale the data so that squared differences fit in a float64"
-            )
-        return qe
-
-    initial_qe = qe_of(weights, 0)
+    initial_qe = _finite_qe(weights, data, " at step 0")
     history: list[tuple[int, float]] = [(0, initial_qe)]
     final_qe = initial_qe
     done = 0
@@ -309,7 +301,7 @@ def train(
             som.shape.cols,
         )
         done = end
-        final_qe = qe_of(weights, done)
+        final_qe = _finite_qe(weights, data, f" at step {done}")
         history.append((done, final_qe))
         if qe_threshold is not None and final_qe < qe_threshold:
             break
@@ -319,6 +311,18 @@ def train(
         steps=done, initial_qe=initial_qe, final_qe=final_qe, qe_history=tuple(history)
     )
     return trained, report
+
+
+def _finite_qe(weights: np.ndarray, data: np.ndarray, when: str = "") -> float:
+    """The quantization error of ``weights`` on the non-empty ``data``;
+    raises ValueError, with ``when`` in its message, if it is not finite."""
+    qe = float(_backend.bmu_batch(weights, data)[1].mean())
+    if not math.isfinite(qe):
+        raise ValueError(
+            f"squared distances overflow: the quantization error{when} is {qe}; "
+            "scale the data so that squared differences fit in a float64"
+        )
+    return qe
 
 
 def _schedule_arrays(schedule: TrainingSchedule) -> tuple[np.ndarray, np.ndarray]:

@@ -20,8 +20,8 @@ One parser reads the text: ``csv`` reads the header record, which may be
 quoted, and the data lines go to one ``np.loadtxt`` call when they are ASCII
 with no double quote and no control character but tab, CR and LF. Other
 data lines, and any malformed input, are read record by record by ``csv``
-and ``float()``, which gives the same values and names the 1-based row and
-column of the first error.
+and ``float()``, which gives the same values and names the first error's
+1-based column and row: the physical line on which its record starts.
 """
 
 from __future__ import annotations
@@ -153,29 +153,12 @@ def load_csv(source, has_header: bool = True, label_column: str | None = None) -
 
     ``source`` may be a path, bytes, or a text/binary file object. Rejects
     ragged rows, non-numeric feature fields, and non-finite values, naming
-    the offending 1-based row and column. Physical line numbers are used,
-    so with a header the first data row is row 2.
-    """
-    return _load(_read_text(source), has_header, label_column, loadtxt=True)
-
-
-def _load_rows(text: str, has_header: bool, label_column: str | None) -> Dataset:
-    """What :func:`load_csv` reads from ``text`` with the loadtxt step
-    skipped; the reference that :func:`_loadtxt` must match."""
-    return _load(text, has_header, label_column, loadtxt=False)
-
-
-def _load(text: str, has_header: bool, label_column: str | None, loadtxt: bool) -> Dataset:
-    """Read the header record through csv, then the data lines by
-    :func:`_loadtxt` if ``loadtxt``, or where that gives None, record by
-    record from the same csv reader: the only code that raises
-    :class:`CsvFormatError`.
-
-    The first bad record's error is raised once csv has read the rest of the
-    text, since a csv error comes first wherever it is.
+    the offending row and column as the module docstring defines them, so
+    with a header the first data row is row 2.
     """
     import itertools
 
+    text = _read_text(source)
     lines = text.splitlines()
     reader = csv.reader(lines)
     records = _records(reader)
@@ -185,24 +168,22 @@ def _load(text: str, has_header: bool, label_column: str | None, loadtxt: bool) 
             raise CsvFormatError("empty input: no rows")
         names = label_idx = expected = None
         if has_header:
-            names = [h.strip() for h in first]
+            names = [h.strip() for h in first[1]]
+            expected = len(names)
             if label_column is not None:
                 if label_column not in names:
                     raise CsvFormatError(f"label column {label_column!r} not found in header")
                 label_idx = names.index(label_column)
                 del names[label_idx]
-            expected = len(first)
         elif label_column is not None:
             raise CsvFormatError("a label column requires a header line")
         else:
             records = itertools.chain([first], records)
-        arrays = None
-        if loadtxt:
-            arrays = _loadtxt(text, lines, reader.line_num if has_header else 0, expected,
-                              label_idx)
-        vectors, labels = arrays or _convert_records(records, int(has_header), expected,
-                                                     label_idx)
+        arrays = _loadtxt(text, lines, reader.line_num if has_header else 0, expected, label_idx)
+        vectors, labels = arrays or _convert_records(records, expected, label_idx)
     except CsvFormatError:
+        # A csv error comes first wherever it is, so the first bad record's
+        # error waits until csv has read the rest of the text.
         for _ in records:
             pass
         raise
@@ -261,36 +242,35 @@ def _plain(text: str) -> bool:
 
 
 def _records(reader):
-    """The records a csv ``reader`` reads; a csv error raises
-    :class:`CsvFormatError` naming the record where it began."""
-    count = 0
+    """(line, record) for each record a csv ``reader`` reads, ``line`` being
+    the physical line on which the record starts; a csv error raises
+    :class:`CsvFormatError` naming the line on which its record starts."""
+    line = 1
     try:
-        for count, row in enumerate(reader, 1):
-            yield row
+        for record in reader:
+            yield line, record
+            line = reader.line_num + 1
     except csv.Error as exc:  # such as a quoted field longer than csv's limit
-        raise CsvFormatError(str(exc), row=count + 1) from None
+        raise CsvFormatError(str(exc), row=line) from None
 
 
-def _convert_records(records, lineno: int, expected: int | None, label_idx: int | None):
+def _convert_records(records, expected: int | None, label_idx: int | None):
     """The vectors and labels (None without a label column) of the data
-    ``records``, numbered from ``lineno + 1``, or the :class:`CsvFormatError`
-    of the first bad one. Each record is converted as csv reads it, into
-    one float64 buffer."""
+    ``records``, (line, record) pairs, or the :class:`CsvFormatError` of the
+    first bad one. Each record is converted as csv reads it, into one
+    float64 buffer."""
     import array
 
     values = array.array("d")
     labels: list[float] = []
     rows = 0
-    for row in records:
-        lineno += 1
+    for line, row in records:
         if not row:  # blank line
             continue
         if expected is None:
             expected = len(row)
         if len(row) != expected:
-            raise CsvFormatError(
-                f"expected {expected} fields, found {len(row)}", row=lineno
-            )
+            raise CsvFormatError(f"expected {expected} fields, found {len(row)}", row=line)
         try:
             if label_idx is None:
                 converted = list(map(float, row))
@@ -303,7 +283,7 @@ def _convert_records(records, lineno: int, expected: int | None, label_idx: int 
         except (KeyError, ValueError):
             valid = False
         if not valid:
-            _check_fields(row, lineno, label_idx)
+            _check_fields(row, line, label_idx)
         values.extend(converted)
         rows += 1
 
@@ -315,7 +295,7 @@ def _convert_records(records, lineno: int, expected: int | None, label_idx: int 
     return data, np.asarray(labels, dtype=bool) if label_idx is not None else None
 
 
-def _check_fields(row: list[str], lineno: int, label_idx: int | None) -> None:
+def _check_fields(row: list[str], line: int, label_idx: int | None) -> None:
     """Raise the error of the first bad field of ``row``, a record of the
     expected length, if it has one."""
     for c, field in enumerate(row):
@@ -324,20 +304,15 @@ def _check_fields(row: list[str], lineno: int, label_idx: int | None) -> None:
             if field.strip() not in _LABEL_VALUES:
                 raise CsvFormatError(
                     f"label must be '{LABEL_NORMAL}' or '{LABEL_ANOMALOUS}', got {field!r}",
-                    row=lineno,
-                    column=colno,
+                    row=line, column=colno,
                 )
             continue
         try:
             value = float(field)
         except ValueError:
-            raise CsvFormatError(
-                f"not a number: {field!r}", row=lineno, column=colno
-            ) from None
+            raise CsvFormatError(f"not a number: {field!r}", row=line, column=colno) from None
         if not math.isfinite(value):
-            raise CsvFormatError(
-                f"non-finite value: {field!r}", row=lineno, column=colno
-            )
+            raise CsvFormatError(f"non-finite value: {field!r}", row=line, column=colno)
 
 
 def save_csv(dataset: Dataset, destination, label_column: str = "label") -> None:

@@ -526,6 +526,13 @@ class TestQuantizationError:
         with pytest.raises(ValueError):
             quantization_error(som, np.empty((0, 1)))
 
+    def test_overflowing_distances_rejected(self):
+        # As train refuses them, but with no step to name.
+        som = initialize(GridShape(2, 2), 2, [(0.0, 1e200), (0.0, 1e200)], seed=1)
+        with pytest.raises(ValueError, match=r"^squared distances overflow: the quantization "
+                                             r"error is inf; scale the data"):
+            quantization_error(som, [(1e200, 0.0), (0.0, 1e200)])
+
 
 class TestTrain:
     def test_single_stimulus_pulls_every_weight_onto_it(self):

@@ -1,6 +1,7 @@
 import csv
 import io
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -76,6 +77,13 @@ DIALECT = [
                  id="signs-and-point"),
     pytest.param(b"a\n0x10\n", None, "not a number: '0x10' (row 2, column 1)", id="hex"),
     pytest.param(b"a\n1\x002\n", None, r"not a number: '1\x002' (row 2, column 1)", id="nul"),
+    # A row is the physical line on which its record starts.
+    pytest.param(b'a,b\n"1\n",2\n3,x\n', None, "not a number: 'x' (row 4, column 2)",
+                 id="after-a-field-on-two-lines"),
+    pytest.param(b'"a\nb",c\n1,x\n', None, "not a number: 'x' (row 3, column 2)",
+                 id="after-a-header-on-two-lines"),
+    pytest.param(b'a,b\n"1\n\n",2\n3\n', None, "expected 2 fields, found 1 (row 5)",
+                 id="after-a-field-over-a-blank-line"),
 ]
 
 
@@ -99,9 +107,11 @@ LABELS = st.sampled_from(["normal", "anomalous", " normal"])
 ODD_FIELDS = st.sampled_from([
     "-0", "+1", ".5", "5.", "1E-400", "1e400", "007", " 1.5 ", "\t2", "1_000", '"1.5"',
     "\u0661", "\xa01", "1\u2009", "\x1f1", "1\x1c", "1\x00", "nan", "-inf", "Infinity", "0x10",
-    "", " ", "oops", "normal", " anomalous ", "Normal",
+    "", " ", "oops", "normal", " anomalous ", "Normal", '"1\n"', '"2\r\n\n"',
 ])
-ODD_NAMES = st.sampled_from(["", " c ", '"c"', '"c,d"', "ç", "label", " label", '"label"'])
+ODD_NAMES = st.sampled_from(
+    ["", " c ", '"c"', '"c,d"', '"c\nd"', "ç", "label", " label", '"label"']
+)
 ODD_BREAKS = st.sampled_from(
     ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", " ", "\n\n", "\n \n"]
 )
@@ -136,16 +146,28 @@ def csv_texts(draw):
     return text, has_header, label
 
 
+def _load_rows(text, has_header, label_column):
+    """What :func:`load_csv` reads from ``text`` with the loadtxt step
+    skipped: the row loop alone. The byte-order mark keeps a leading one in
+    ``text``, since load_csv drops exactly one."""
+    with mock.patch.object(dataio, "_loadtxt", lambda *args: None):
+        return load_csv(io.StringIO("\ufeff" + text), has_header, label_column)
+
+
 def _reference_load_rows(text, has_header, label_column):
-    """A list-based row-by-row parser: every record kept as a list of str,
-    then every value as a float. ``dataio._load_rows``, which streams, must
-    match it in values and in every error."""
+    """A list-based row-by-row parser: every record kept as a list of str
+    with the physical line it starts on, then every value as a float.
+    ``_load_rows``, which streams, must match it in values and in every
+    error."""
     rows = []
+    reader = csv.reader(text.splitlines())
+    line = 1
     try:
-        for row in csv.reader(text.splitlines()):
-            rows.append(row)
+        for row in reader:
+            rows.append((line, row))
+            line = reader.line_num + 1
     except csv.Error as exc:
-        raise CsvFormatError(str(exc), row=len(rows) + 1) from None
+        raise CsvFormatError(str(exc), row=line) from None
     if not rows:
         raise CsvFormatError("empty input: no rows")
     if label_column is not None and not has_header:
@@ -154,7 +176,7 @@ def _reference_load_rows(text, has_header, label_column):
     label_idx = None
     start = 0
     if has_header:
-        header = [h.strip() for h in rows[0]]
+        header = [h.strip() for h in rows[0][1]]
         if label_column is not None:
             if label_column not in header:
                 raise CsvFormatError(f"label column {label_column!r} not found in header")
@@ -165,10 +187,8 @@ def _reference_load_rows(text, has_header, label_column):
         start = 1
     vectors = []
     labels = []
-    expected = len(rows[0]) if has_header else None
-    for r in range(start, len(rows)):
-        row = rows[r]
-        lineno = r + 1
+    expected = len(rows[0][1]) if has_header else None
+    for lineno, row in rows[start:]:
         if not row:
             continue
         if expected is None:
@@ -332,7 +352,7 @@ class TestLoadCsv:
         assert ds.column_names == ["a", "b"]
         assert ds.vectors.tobytes() == np.array([[1.0, -2.5e-3], [7.0, 0.5]]).tobytes()
         assert ds.labels.tolist() == [False, True]
-        assert _outcome(lambda: ds) == _outcome(lambda: dataio._load_rows(text, True, "label"))
+        assert _outcome(lambda: ds) == _outcome(lambda: _load_rows(text, True, "label"))
         ds = load_csv(b"1,2\n3,4", has_header=False)
         assert len(results) == 2 and results[1] is not None
         assert ds.column_names is None
@@ -351,7 +371,7 @@ class TestLoadCsv:
         assert len(results) == 2 and results[1] is not None
         assert ds.column_names == ["naïve, or not", "b"]
         assert ds.vectors.tolist() == [[1.0, 2.0]]
-        assert _outcome(lambda: ds) == _outcome(lambda: dataio._load_rows(text, True, None))
+        assert _outcome(lambda: ds) == _outcome(lambda: _load_rows(text, True, None))
 
     @pytest.mark.parametrize("text", [
         '"a","b"\n1,"2"\n',  # a quoted data field
@@ -363,7 +383,7 @@ class TestLoadCsv:
         results = _loadtxt_results(monkeypatch)
         outcome = _outcome(lambda: load_csv(text.encode()))
         assert results == [None]
-        assert outcome == _outcome(lambda: dataio._load_rows(text, True, None))
+        assert outcome == _outcome(lambda: _load_rows(text, True, None))
 
     @pytest.mark.parametrize("data, message", [
         (b'"a","b"\n1,2\n3,x\n', "not a number: 'x' (row 3, column 2)"),
@@ -386,7 +406,7 @@ class TestLoadCsv:
     @given(csv_texts())
     def test_row_by_row_matches_the_reference(self, case):
         text, has_header, label_column = case
-        assert _outcome(lambda: dataio._load_rows(text, has_header, label_column)) == _outcome(
+        assert _outcome(lambda: _load_rows(text, has_header, label_column)) == _outcome(
             lambda: _reference_load_rows(text, has_header, label_column)
         )
 
@@ -413,9 +433,12 @@ class TestLoadCsv:
         pytest.param("a\n" + _UNCLOSED_QUOTE, None,
                      f"field larger than field limit ({csv.field_size_limit()}) (row 2)",
                      id="csv-error"),
+        pytest.param('a,b\n"1\n",2\n' + _UNCLOSED_QUOTE, None,
+                     f"field larger than field limit ({csv.field_size_limit()}) (row 4)",
+                     id="field-on-two-lines-then-csv-error"),
     ])
     def test_row_by_row_reports_the_reference_error(self, text, label_column, message):
-        for parse in (dataio._load_rows, _reference_load_rows):
+        for parse in (_load_rows, _reference_load_rows):
             with pytest.raises(CsvFormatError) as raised:
                 parse(text, True, label_column)
             assert str(raised.value) == message
@@ -431,7 +454,7 @@ class TestLoadCsv:
     def test_fast_path_matches_row_by_row(self, case):
         text, has_header, label_column = case
         assert _outcome(lambda: load_csv(text.encode(), has_header, label_column)) == _outcome(
-            lambda: dataio._load_rows(text, has_header, label_column)
+            lambda: _load_rows(text, has_header, label_column)
         )
 
 
