@@ -8,15 +8,15 @@ The kernel trusts its pointers, so every array is checked here first: a bad
 argument raises instead of reading or writing arbitrary memory.
 
 Every :meth:`Kernel.bmu_batch` call, a single row too, copies the weights
-into dim-major scratch and searches each row against that copy. A large call
-is split by one rule, :func:`_parts`, into one kernel call per contiguous
-block: a winner search by rows, each block with its own copy of the weights,
-and a :meth:`Kernel.run_steps` call on a large map by nodes, whose parts
-agree on every step's winner through shared slots (see ``_kernel.c``); its
-weights are the one-part run's, bit for bit. ctypes releases the GIL for the
-length of a kernel call, so the calls run at once. Call i runs on the i-th
-CPU of :func:`_cpus`, the calling thread's call first (see
-:func:`_run_calls`).
+into dim-major scratch and searches each row against that copy. A call of
+:data:`CALL_MIN_TERMS` terms or more is cut by :func:`_parts` into one kernel
+call per contiguous block: a winner search by rows, each block with its own
+copy of the weights, and a :meth:`Kernel.run_steps` call on a large map by
+nodes, whose parts agree on every step's winner through shared slots (see
+``_kernel.c``) and train the one-part run's weights, bit for bit. ctypes
+releases the GIL for a kernel call, so the calls run at once. They start one
+way, :func:`_run_calls`: none runs until every worker has started, and call
+i runs on the i-th CPU of :func:`_cpus`, the calling thread's call first.
 """
 
 from __future__ import annotations
@@ -36,37 +36,32 @@ _PTR = ctypes.c_void_p
 # The argument-list version this module binds; NETSOM_ABI in _kernel.c.
 ABI = 3
 
-# Distance terms (rows x nodes x dim) that each block of a split bmu_batch
-# must get. A batch with fewer than twice as many stays on the calling thread:
-# starting, placing and joining a thread costs 0.1-0.3 ms, and each block
-# copies all the weights. Two blocks against one, 2-vCPU Xeon VM, AVX-512
-# copy of the kernel, median of 15 interleaved rounds: 0.4-0.7x as fast at
-# 0.5-1M terms; at 4M terms 0.87x on a 1600x41 map and 1.18x on a 100x41
-# map; at 8M terms 1.06x and 1.29x. The SSE2 build, measured the same way,
-# gave 1.05-1.07x and 1.4-1.5x at 4M terms; the wider kernel moves the
-# crossover up for large maps only, so the gate stays.
-PARALLEL_MIN_TERMS = 2_000_000
+# Terms a kernel call must have to be split: rows x nodes x dim in a winner
+# search, steps x nodes x dim in a step loop. Each CLI command is a new
+# process that makes one to six such calls, where a split call pays for
+# starting threads and waking the other CPU. Split against whole, first
+# calls of a new process, 41 features, 2-vCPU Xeon VM, AVX-512 copy of the
+# kernel, 12-36 interleaved pairs a size. Whole won at 4.1M (six 1000-row
+# searches on 10x10, 3.6 against 21 ms), 33M, 41M and 131M (two 2000-row
+# searches on 40x40, 14 of 24), and in 40x40 step loops of 20M-131M (300-2000
+# steps). At 197M the search was even and the step loop split faster in 31
+# of 36, though another session had it whole faster in 8 of 10. Split won at
+# 230M, 262M (a 4000-row search on 40x40, 29 of 36; 4000 steps, 35 of 36) and
+# 525M (8000 steps, 211 against 280 ms, 24 of 24).
+CALL_MIN_TERMS = 200_000_000
 
 # Node-dimension terms (nodes x dim) that each part of a split run_steps must
-# get at every step, and terms (steps x nodes x dim) that a split call must
-# have. The parts wait for each other at every step, and each call starts
-# its threads anew. Two parts against one, 2-vCPU Xeon VM, AVX-512 copy of
-# the kernel, 41 features, calls of 1000 steps with a 500-row winner search
-# between them as in train, each trial a new process, in two sessions of 8
-# and 12 trials. A 10x10 map (4100 terms a step) gained nothing: 1-2 ms a
-# call either way, 4 of 8 and 0 of 12 trials won. At 15x15 to 30x30 (9225
-# to 36900 terms) splitting won 6-7 of 8 trials in the first session,
-# 1.4-1.7x in the median, but in the second the first split call of a
-# process waited 30-60 ms for the other part's CPU, and 15x15 won 0 of 12,
-# 20x20 to 30x30 6 of 12. 40x40 won 8 of 8, 1.1-1.8x. The SSE2 build lost
-# half its trials at 15x15 and 20x20 to such waits, and 25x25 won 3 of 4;
-# the wider kernel makes a step cheaper but not a wait, so the gate stays
-# at 25x25. In the first session a 40x40 map gained from calls of 100
-# steps (6.6M terms) on, in 8 of 8 trials; the SSE2 build's first call of
-# a process lost at 100 steps and won from 300 (20M terms), where the call
-# gate stays.
+# get at every step, since the parts wait for each other at every step. Two
+# parts against one, 41 features, calls of 1000 steps with a 500-row search
+# between them as in train, each trial a new process, 2-vCPU Xeon VM, AVX-512
+# copy of the kernel: a 10x10 map (4100 terms a step) won 4 of 20 trials. At
+# 15x15 to 30x30 (9225 to 36900) one session won 6-7 of 8 trials, 1.4-1.7x,
+# but in another the first split call of a process waited 30-60 ms for the
+# other part's CPU, and 15x15 won 0 of 12, 20x20 to 30x30 6 of 12; 40x40 won
+# 8 of 8. The SSE2 build lost half its trials at 15x15 and 20x20 to such
+# waits, and 25x25 won 3 of 4; a wider kernel shortens a step, not a wait, so
+# the gate stays at 25x25.
 STEP_PART_MIN_TERMS = 12_000
-STEP_CALL_MIN_TERMS = 20_000_000
 
 
 def built_library() -> Path | None:
@@ -117,7 +112,7 @@ class Kernel:
         n_nodes, dim, n_inputs = _search_shape(weights, xs)
         idx = np.empty(n_inputs, dtype=np.int64)
         dist = np.empty(n_inputs, dtype=np.float64)
-        blocks = _parts(n_inputs, n_nodes * dim, PARALLEL_MIN_TERMS)
+        blocks = _parts(n_inputs, n_inputs * n_nodes * dim, n_inputs)
         # Dim-major weights and distances for each block. Allocated here, so
         # that a failure raises here. They and the arrays outlive every
         # thread, so the pointers stay valid.
@@ -153,10 +148,7 @@ class Kernel:
             raise ValueError(f"cols must be at least 1, got {cols}")
         if n_nodes % cols:
             raise ValueError(f"{n_nodes} nodes do not fill a lattice with {cols} columns")
-        if n_steps * n_nodes * dim < STEP_CALL_MIN_TERMS:
-            parts = [(0, n_nodes)]
-        else:
-            parts = _parts(n_nodes, dim, STEP_PART_MIN_TERMS)
+        parts = _parts(n_nodes, n_steps * n_nodes * dim, n_nodes * dim // STEP_PART_MIN_TERMS)
         # Each part's working memory: dim-major weights, distances, factors
         # and the factor table; and the slots through which split parts
         # agree on each step's winner. Allocated here, so a failure is a
@@ -168,37 +160,33 @@ class Kernel:
              alphas.ctypes.data, sigmas.ctypes.data, n_steps, cols, lo, hi, part, len(parts),
              sync, part_scratch.ctypes.data)
             for part, ((lo, hi), part_scratch) in enumerate(zip(parts, scratch))
-        ], together=True)
+        ])
 
 
-def _run_calls(kernel, calls, together: bool = False) -> None:
+def _run_calls(kernel, calls) -> None:
     """``kernel(*args)`` for every ``args`` of ``calls``, all at once: the
     first on this thread, each other one on a thread of its own, so a single
     call starts no thread. Returns when all are done.
 
-    Calls made ``together``, the parts of a split step loop, wait for each
-    other at every step, so were one thread not to start, the others would
-    wait for it for ever. Their workers therefore wait at a gate until every
-    worker has started; where one cannot start, they return without calling,
-    and the error that stopped the start is raised here. Independent calls
-    start at once: waking a worker at a gate made a 4M-term winner search
-    2-4 ms slower in a new process.
+    Every worker waits at a gate until all have started, so either every
+    call runs or none does: the parts of a split step loop wait for each
+    other at every step, and were one thread not to start, the others would
+    wait for it for ever. Where one cannot start, the started ones return
+    without calling, and the error that stopped the start is raised here.
 
     Call i runs on the i-th CPU of :func:`_cpus`, and is not moved where
     that list has no i-th CPU: each worker moves itself there before it
     waits at the gate, and this thread stays on the first until its call is
     done. A new thread starts on its creator's CPU, and where the scheduler
     does not balance load, as in a cpuset with sched_load_balance off, it
-    stays there. Left free, this thread can be
-    woken on a worker's CPU; the parts of a split step loop then take turns
-    there, one yield per step, and a 4 ms call took up to 39 ms."""
+    stays there. Left free, this thread can be woken on a worker's CPU; the
+    parts of a split step loop then take turns there, one yield per step,
+    and a 4 ms call took up to 39 ms."""
     if len(calls) == 1:
         kernel(*calls[0])
         return
     gate = threading.Event()
-    go = not together
-    if go:
-        gate.set()
+    go = False
     cpus = _cpus() + [None] * len(calls)
 
     def worker(cpu, args):
@@ -252,14 +240,14 @@ def _pinned(cpu: int | None):
             os.sched_setaffinity(0, allowed)
 
 
-def _parts(n: int, terms_each: int, min_terms: int) -> list[tuple[int, int]]:
+def _parts(n: int, call_terms: int, most_parts: int) -> list[tuple[int, int]]:
     """``range(n)`` cut into contiguous (start, stop) blocks whose lengths
     differ by at most one, the first for the calling thread: one per usable
-    CPU and at most one per item, but no more than there are ``min_terms`` in
-    the ``n * terms_each`` terms. Where that allows fewer than two, the one
-    block ``[(0, n)]``, and the CPUs are not read."""
-    count = min(n, n * terms_each // min_terms)
-    if count < 2:
+    CPU, at most ``most_parts`` and at most one per item. A call of fewer
+    than :data:`CALL_MIN_TERMS` terms, or one allowed fewer than two blocks,
+    gets the one block ``[(0, n)]``, and the CPUs are not read."""
+    count = min(n, most_parts)
+    if call_terms < CALL_MIN_TERMS or count < 2:
         return [(0, n)]
     count = min(count, len(_cpus()))
     bounds = [n * b // count for b in range(count + 1)]

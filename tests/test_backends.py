@@ -111,7 +111,7 @@ def use_cpus(monkeypatch, k):
 def split(request, monkeypatch):
     """Split every search of two or more rows into row blocks, one per
     ``param`` CPUs (possibly more than there are) and at most one per row."""
-    monkeypatch.setattr(_core_c, "PARALLEL_MIN_TERMS", 1)
+    monkeypatch.setattr(_core_c, "CALL_MIN_TERMS", 0)
     use_cpus(monkeypatch, request.param)
     return request.param
 
@@ -123,7 +123,7 @@ class TestParallelBmuParity:
         # Nodes 0 and 2 coincide, as do nodes 1 and 3, so every row ties.
         weights = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
         xs = np.array([[1.0, 1.0], [0.5, 0.5], [0.0, 0.0]] * 4)
-        assert len(_core_c._parts(len(xs), weights.size, _core_c.PARALLEL_MIN_TERMS)) == split
+        assert len(_core_c._parts(len(xs), len(xs) * weights.size, len(xs))) == split
         assert_search_bit_equal(compiled, weights, xs)
         assert compiled.bmu_batch(weights, xs)[0].tolist() == [1, 0, 0] * 4
 
@@ -142,7 +142,7 @@ class TestParallelBmuParity:
 
     def test_rows_not_divisible_by_workers(self, compiled, split):
         n_rows = 7 * split + 1
-        blocks = _core_c._parts(n_rows, 48 * 7, _core_c.PARALLEL_MIN_TERMS)
+        blocks = _core_c._parts(n_rows, n_rows * 48 * 7, n_rows)
         assert len(blocks) == split
         assert blocks[0][0] == 0 and blocks[-1][1] == n_rows
         assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
@@ -158,18 +158,18 @@ class TestParallelBmuParity:
 
     def test_default_split_keeps_small_batches_whole(self, monkeypatch):
         use_cpus(monkeypatch, 4)
-        per_block = _core_c.PARALLEL_MIN_TERMS
-        assert _core_c._parts(1, 10 * per_block, per_block) == [(0, 1)]
-        assert _core_c._parts(1000, (2 * per_block - 1) // 1000, per_block) == [(0, 1000)]
-        assert len(_core_c._parts(1000, 2 * per_block // 1000, per_block)) == 2
-        assert len(_core_c._parts(1000, 100 * per_block, per_block)) == 4
+        gate = _core_c.CALL_MIN_TERMS
+        assert _core_c._parts(1, 10 * gate, 1) == [(0, 1)]
+        assert _core_c._parts(1000, gate - 1, 1000) == [(0, 1000)]
+        assert len(_core_c._parts(1000, gate, 2)) == 2
+        assert len(_core_c._parts(1000, gate, 1000)) == 4
 
     def test_one_cpu_starts_no_thread(self, compiled, monkeypatch):
         class NoThread:
             def __init__(self, *args, **kwargs):
                 raise AssertionError("a thread was started")
 
-        monkeypatch.setattr(_core_c, "PARALLEL_MIN_TERMS", 1)
+        monkeypatch.setattr(_core_c, "CALL_MIN_TERMS", 0)
         monkeypatch.setattr(threading, "Thread", NoThread)
         weights, xs = random_case(np.random.default_rng(11))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -181,7 +181,7 @@ class TestParallelBmuParity:
     @pytest.mark.parametrize("n_rows", [0, 1])
     def test_tiny_batch_starts_no_thread_and_asks_no_cpu(self, compiled, monkeypatch, n_rows):
         moves = []
-        monkeypatch.setattr(_core_c, "PARALLEL_MIN_TERMS", 1)
+        monkeypatch.setattr(_core_c, "CALL_MIN_TERMS", 0)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: moves.append(cpus),
                             raising=False)
@@ -471,10 +471,11 @@ class TestRunStepsMatchesOracle:
 
 
 def force_parts(monkeypatch, n_parts):
-    """Split every run_steps call of at least one step into ``n_parts`` node
-    blocks (possibly more than there are CPUs), at most one per node."""
+    """Split every run_steps call into ``n_parts`` node blocks (possibly more
+    than there are CPUs), at most one per node, and every search likewise
+    into row blocks."""
     monkeypatch.setattr(_core_c, "STEP_PART_MIN_TERMS", 1)
-    monkeypatch.setattr(_core_c, "STEP_CALL_MIN_TERMS", 1)
+    monkeypatch.setattr(_core_c, "CALL_MIN_TERMS", 0)
     use_cpus(monkeypatch, n_parts)
 
 
@@ -489,9 +490,10 @@ class TestSplitRunStepsMatchesOracle(TestRunStepsMatchesOracle):
 
     @pytest.mark.parametrize("rows, cols", [(5, 3), (1, 7), (7, 1)])
     def test_the_map_is_split(self, parts, rows, cols):
-        blocks = _core_c._parts(rows * cols, 3, _core_c.STEP_PART_MIN_TERMS)
+        nodes = rows * cols
+        blocks = _core_c._parts(nodes, nodes * 3, nodes * 3 // _core_c.STEP_PART_MIN_TERMS)
         assert len(blocks) == parts
-        assert blocks[0][0] == 0 and blocks[-1][1] == rows * cols
+        assert blocks[0][0] == 0 and blocks[-1][1] == nodes
         assert all(a[1] == b[0] and a[0] < a[1] for a, b in zip(blocks, blocks[1:]))
 
 
@@ -649,15 +651,20 @@ class TestSplitRunStepsThreads:
     def test_default_split_keeps_small_maps_and_calls_whole(self, monkeypatch):
         use_cpus(monkeypatch, 4)
         per_part = _core_c.STEP_PART_MIN_TERMS
-        per_step = 2 * per_part
-        assert _core_c._parts(1, per_step, per_part) == [(0, 1)]
-        assert _core_c._parts(100, (per_step - 1) // 100, per_part) == [(0, 100)]
-        assert len(_core_c._parts(100, per_step // 100, per_part)) == 2
-        assert len(_core_c._parts(1600, 41, per_part)) == 4
+        gate = _core_c.CALL_MIN_TERMS
+
+        def parts(nodes, dim, call_terms=gate):
+            return _core_c._parts(nodes, call_terms, nodes * dim // per_part)
+
+        assert parts(1, 2 * per_part) == [(0, 1)]
+        assert parts(100, (2 * per_part - 1) // 100) == [(0, 100)]
+        assert len(parts(100, 2 * per_part // 100)) == 2
+        assert len(parts(1600, 41)) == 4
+        assert parts(1600, 41, gate - 1) == [(0, 1600)]
 
     def test_a_40x40_call_below_the_call_gate_starts_no_thread(self, compiled, monkeypatch):
         # A 40x40 map with 41 features has terms enough for four parts, but
-        # a call of fewer than STEP_CALL_MIN_TERMS terms stays whole.
+        # a call of fewer than CALL_MIN_TERMS terms stays whole.
         use_cpus(monkeypatch, 4)
         rng = np.random.default_rng(15)
         weights = rng.uniform(0, 1, size=(1600, 41))
@@ -667,7 +674,7 @@ class TestSplitRunStepsThreads:
             compiled.run_steps(weights, data, rng.integers(0, 50, size=n_steps),
                                np.full(n_steps, 0.1), np.full(n_steps, 2.0), 40)
 
-        below = _core_c.STEP_CALL_MIN_TERMS // (1600 * 41)
+        below = _core_c.CALL_MIN_TERMS // (1600 * 41)
         monkeypatch.setattr(threading, "Thread", NoThread)
         call(below)
         with pytest.raises(AssertionError, match="a thread was started"):
@@ -679,7 +686,7 @@ class TestSplitRunStepsThreads:
         monkeypatch.setattr(threading, "Thread", NoThread)
         for n_cpus, min_call_terms in [(2, 1), (1, 1), (2, 60 * 15 * 3 + 1)]:
             monkeypatch.setattr(_core_c, "STEP_PART_MIN_TERMS", 1)
-            monkeypatch.setattr(_core_c, "STEP_CALL_MIN_TERMS", min_call_terms)
+            monkeypatch.setattr(_core_c, "CALL_MIN_TERMS", min_call_terms)
             use_cpus(monkeypatch, n_cpus)
             got = start.copy()
             if n_cpus == 2 and min_call_terms == 1:
@@ -689,11 +696,13 @@ class TestSplitRunStepsThreads:
                 compiled.run_steps(got, data, stimuli, alphas, sigmas, 3)
                 assert_same_bits(got, expected)
 
-    def test_failed_thread_start_leaves_no_part_waiting(self, compiled, monkeypatch):
-        # The second of two workers cannot start. The first must not be
-        # left waiting at its first step for a part that never runs.
+    @pytest.mark.parametrize("call", ["search", "steps"])
+    def test_failed_thread_start_leaves_no_part_waiting(self, compiled, monkeypatch, call):
+        # The second of two workers cannot start. No block may run: the first
+        # worker must neither search its rows nor wait at its first step for
+        # a part that never runs.
         real_thread = threading.Thread
-        starts = []
+        starts, ran = [], []
 
         class SecondFails(real_thread):
             def start(self):
@@ -706,21 +715,55 @@ class TestSplitRunStepsThreads:
         start, data, stimuli, alphas, sigmas = oracle_case(5, 3)
         got = start.copy()
         raised = []
+        name = "_bmu" if call == "search" else "_steps"
+        kernel_call = getattr(compiled, name)
+        monkeypatch.setattr(compiled, name, lambda *args: (ran.append(args), kernel_call(*args)))
 
-        def call():
+        def make_call():
             try:
-                compiled.run_steps(got, data, stimuli, alphas, sigmas, 3)
+                if call == "search":
+                    compiled.bmu_batch(got, data)
+                else:
+                    compiled.run_steps(got, data, stimuli, alphas, sigmas, 3)
             except RuntimeError as exc:
                 raised.append(str(exc))
 
-        runner = real_thread(target=call, daemon=True)
+        runner = real_thread(target=make_call, daemon=True)
         monkeypatch.setattr(threading, "Thread", SecondFails)
         runner.start()
         runner.join(timeout=60)
         assert not runner.is_alive()
         assert raised == ["can't start new thread"]
         assert len(starts) == 2 and not starts[0].is_alive()
+        assert ran == []
         assert_same_bits(got, start)
+
+
+def test_the_cli_calls_run_whole_below_the_call_gate(compiled, monkeypatch):
+    # The calls that score-10k and train-40x40 make, 41 features: QE passes
+    # of 1000 rows on 10x10 and 500 rows on 40x40, detect and eval searches
+    # of 10000 and 2000 rows, and the 8000-step loop. Timed in a new process,
+    # as each CLI command runs, these searches ran no faster split, and that
+    # loop 1.3x faster; the 3000-step loop and the 4000-row search sit on
+    # either side of CALL_MIN_TERMS.
+    use_cpus(monkeypatch, 4)
+    rng = np.random.default_rng(16)
+
+    def search(rows, nodes):
+        compiled.bmu_batch(rng.uniform(0, 1, size=(nodes, 41)), rng.uniform(0, 1, size=(rows, 41)))
+
+    def steps(n_steps):
+        compiled.run_steps(rng.uniform(0, 1, size=(1600, 41)), rng.uniform(0, 1, size=(50, 41)),
+                           rng.integers(0, 50, size=n_steps), np.full(n_steps, 0.1),
+                           np.full(n_steps, 2.0), 40)
+
+    monkeypatch.setattr(threading, "Thread", NoThread)
+    for rows, nodes in [(1000, 100), (10000, 100), (500, 1600), (2000, 1600)]:
+        search(rows, nodes)
+    steps(3000)
+    for split_call in (lambda: search(4000, 1600), lambda: steps(8000)):
+        with pytest.raises(AssertionError, match="a thread was started"):
+            split_call()
 
 
 # Splits a winner search and a step loop in two, forks, and makes both calls
@@ -735,8 +778,8 @@ from netsom import _core_c
 kernel = _core_c.Kernel(sys.argv[1])
 cpus = (_core_c._cpus() + [None, None])[:2]
 _core_c._cpus = lambda: cpus
-_core_c.PARALLEL_MIN_TERMS = 1
-_core_c.STEP_PART_MIN_TERMS = _core_c.STEP_CALL_MIN_TERMS = 1
+_core_c.CALL_MIN_TERMS = 0
+_core_c.STEP_PART_MIN_TERMS = 1
 rng = np.random.default_rng(3)
 start = rng.uniform(0, 1, size=(64, 5))
 data = rng.uniform(0, 1, size=(40, 5))
@@ -745,8 +788,8 @@ alphas, sigmas = np.linspace(0.5, 0.01, 300), np.linspace(3.0, 0.5, 300)
 
 
 def both():
-    assert len(_core_c._parts(40, 64 * 5, _core_c.PARALLEL_MIN_TERMS)) == 2
-    assert len(_core_c._parts(64, 5, _core_c.STEP_PART_MIN_TERMS)) == 2
+    assert len(_core_c._parts(40, 40 * 64 * 5, 40)) == 2
+    assert len(_core_c._parts(64, 300 * 64 * 5, 64 * 5 // _core_c.STEP_PART_MIN_TERMS)) == 2
     weights = start.copy()
     kernel.run_steps(weights, data, stimuli, alphas, sigmas, 8)
     return [a.tobytes() for a in (weights, *kernel.bmu_batch(weights, data))]
